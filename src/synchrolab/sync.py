@@ -101,13 +101,11 @@ def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[pos] == needles
 
 
-def _reconstruct_word(levels, depth: int, pos: int, final_letter: int) -> Word:
+def _reconstruct_word(steps, pos: int, final_letter: int) -> Word:
     letters_rev = [final_letter]
-    while depth > 0:
-        _codes, _labels, parents, letts = levels[depth]
-        letters_rev.append(int(letts[pos]))
-        pos = int(parents[pos])
-        depth -= 1
+    for index, width in reversed(steps):
+        letter, pos = divmod(int(index[pos]), width)
+        letters_rev.append(letter)
     return Word(reversed(letters_rev))
 
 
@@ -122,18 +120,21 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT)
     can merge within max_len letters (None = search to exhaustion).
     """
     n = aut.n
-    letter_maps = [aut.letter(c) for c in range(aut.k)]
+    k = aut.k
+    letter_maps = [aut.letter(c) for c in range(k)]
     codes = src_x.astype(np.int64) * n + src_y.astype(np.int64)
     labels = np.arange(codes.size, dtype=np.int64)
-    levels = [(codes, labels, None, None)]
+    # Per level below the sources: each node's candidate index
+    # letter * width + parent, and the width of the level it came from.
+    steps = []
     visited = codes
-    depth = 0
     while codes.size:
-        if max_len is not None and depth + 1 > max_len:
+        if max_len is not None and len(steps) + 1 > max_len:
             return None
+        width = codes.size
         u, v = np.divmod(codes, n)
         best = None  # (source label, letter, frontier position)
-        nxt_codes, nxt_labels, nxt_parents, nxt_letters = [], [], [], []
+        cand_codes = np.empty(k * width, dtype=np.int64)
         for c, tc in enumerate(letter_maps):
             a = tc[u]
             b = tc[v]
@@ -145,39 +146,45 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT)
                 cand = (int(lab[i]), c, int(pos[i]))
                 if best is None or cand < best:
                     best = cand
-            lo = np.minimum(a, b).astype(np.int64)
-            hi = np.maximum(a, b).astype(np.int64)
-            nxt_codes.append(lo * n + hi)
-            nxt_labels.append(labels)
-            nxt_parents.append(np.arange(codes.size, dtype=np.int64))
-            nxt_letters.append(np.full(codes.size, c, dtype=np.int64))
+            out = cand_codes[c * width:(c + 1) * width]
+            np.minimum(a, b, out=out)
+            out *= n
+            out += np.maximum(a, b)
         if best is not None:
             label, letter, pos = best
-            return label, _reconstruct_word(levels, depth, pos, letter)
+            return label, _reconstruct_word(steps, pos, letter)
 
-        cand_codes = np.concatenate(nxt_codes)
-        cand_labels = np.concatenate(nxt_labels)
-        cand_parents = np.concatenate(nxt_parents)
-        cand_letters = np.concatenate(nxt_letters)
-        # One entry per code, keeping the smallest (label, letter, parent).
-        order = np.lexsort((cand_parents, cand_letters, cand_labels, cand_codes))
+        # One entry per code, keeping the smallest (label, candidate index);
+        # the index letter * width + parent orders ties by (letter, parent),
+        # so the group minimum does not depend on the sort being stable.
+        # Labels stay below the source count and indices below k times the
+        # visit guard, so the key label << shift | index fits in int64.
+        order = np.argsort(cand_codes)
         cand_codes = cand_codes[order]
-        keep = np.empty(cand_codes.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(cand_codes[1:], cand_codes[:-1], out=keep[1:])
-        keep &= ~_in_sorted(visited, cand_codes)
-        sel = order[keep]
-        codes = cand_codes[keep]
+        first = np.empty(cand_codes.size, dtype=bool)
+        first[0] = True
+        np.not_equal(cand_codes[1:], cand_codes[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        shift = cand_codes.size.bit_length()
+        keys = np.tile(labels, k)[order]
+        keys <<= shift
+        keys |= order
+        keys = np.minimum.reduceat(keys, starts)
+        codes = cand_codes[starts]
+        fresh = ~_in_sorted(visited, codes)
+        codes = codes[fresh]
         if codes.size == 0:
             return None
-        labels = cand_labels[sel]
-        levels.append((codes, labels, cand_parents[sel], cand_letters[sel]))
-        visited = np.sort(np.concatenate([visited, codes]))
-        if visited.size > visit_limit:
+        if visited.size + codes.size > visit_limit:
             raise CapacityError(
                 f"pair search visited more than {visit_limit} pairs"
             )
-        depth += 1
+        keys = keys[fresh]
+        labels = keys >> shift
+        steps.append((keys & ((1 << shift) - 1), width))
+        # codes is sorted and disjoint from visited: the stable sort merges
+        # the two runs in linear time.
+        visited = np.sort(np.concatenate([visited, codes]), kind="stable")
     return None
 
 
@@ -191,7 +198,9 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
         raise InvalidInputError(f"states must lie in [0, {n})")
     if max_len is None:
         max_len = default_pair_search_limit(n)
-    elif max_len is not math.inf:
+    elif max_len == math.inf:
+        max_len = None
+    else:
         max_len = int(max_len)
         if max_len < 1:
             raise InvalidInputError("max_len must be positive")
@@ -202,7 +211,7 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
         aut,
         np.array([lo], dtype=np.int64),
         np.array([hi], dtype=np.int64),
-        max_len=None if max_len is math.inf else max_len,
+        max_len=max_len,
     )
     if res is None:
         return PairDistanceResult(math.inf, None)
@@ -280,6 +289,10 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     while cur.size > 1:
         npairs = cur.size * (cur.size - 1) // 2
         if npairs > PAIR_VISIT_LIMIT:
+            # Under permutation letters no pair ever merges: that is the
+            # answer, not a search too large to run.
+            if all(np.bincount(aut.letter(c), minlength=aut.n).max() == 1 for c in range(aut.k)):
+                raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             raise CapacityError(f"{npairs} candidate pairs exceed the search budget")
         i, j = np.triu_indices(cur.size, k=1)
         res = _merge_search(aut, cur[i], cur[j])
@@ -287,7 +300,8 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
             raise NotSynchronizableError((int(cur[0]), int(cur[1])))
         _label, word = res
         for c in word:
-            cur = np.unique(aut.letter(c)[cur])
+            cur = aut.letter(c)[cur]
+        cur = np.unique(cur)
         out.extend(word)
     return Word(out)
 

@@ -21,3 +21,45 @@ def permutation_automaton(n: int, k: int = 2) -> Automaton:
 def chain_automaton() -> Automaton:
     """Unary 3-state chain 0 -> 1 -> 2 -> 2."""
     return Automaton([[1], [2], [2]])
+
+
+def reference_merge_search(aut: Automaton, sources, max_len=None):
+    """Plain-Python twin of synchrolab.sync._merge_search.
+
+    sources are canonical pairs (x < y) in lexicographic order; a pair's
+    label is its index there.  A level-by-level BFS over unordered pairs:
+    each level is listed in code order (u * n + v, i.e. lexicographic), and
+    a node reached from several nodes of the level before keeps the smallest
+    (label, letter, parent position).  At the first level where some pair
+    merges, the smallest (label, letter, position) merge wins.  Returns
+    (label, letters) or None when nothing merges within max_len letters
+    (None = search to exhaustion).
+    """
+    maps = [aut.letter(c).tolist() for c in range(aut.k)]
+    level = [tuple(p) for p in sources]
+    node = {pair: (label, ()) for label, pair in enumerate(level)}
+    visited = set(level)
+    depth = 0
+    while level:
+        if max_len is not None and depth + 1 > max_len:
+            return None
+        merges, reached = [], {}
+        for pos, (u, v) in enumerate(level):
+            label, word = node[(u, v)]
+            for c, f in enumerate(maps):
+                a, b = f[u], f[v]
+                if a == b:
+                    merges.append((label, c, pos, word + (c,)))
+                    continue
+                pair = (min(a, b), max(a, b))
+                key = (label, c, pos)
+                if pair not in visited and (pair not in reached or key < reached[pair][0]):
+                    reached[pair] = (key, word + (c,))
+        if merges:
+            label, _c, _pos, word = min(merges)
+            return label, word
+        level = sorted(reached)
+        node = {pair: (key[0], word) for pair, (key, word) in reached.items()}
+        visited.update(level)
+        depth += 1
+    return None

@@ -150,3 +150,12 @@ def test_capacity_error_exits_2(tmp_path, capsys):
     path = tmp_path / "big.dfa"
     write_dfa(permutation_automaton(25), path)
     assert run_cli(capsys, "exact", "--in", str(path))[0] == 2
+
+
+def test_sync_large_permutation_exits_3(tmp_path, capsys):
+    # 10^4 states are past the pair-search budget; the stuck pair still wins
+    path = tmp_path / "perm.dfa"
+    write_dfa(permutation_automaton(10_000), path)
+    code, _, err = run_cli(capsys, "sync", "--in", str(path))
+    assert code == 3
+    assert "stuck pair (0, 1)" in err

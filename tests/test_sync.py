@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import constant_automaton, permutation_automaton
+from helpers import constant_automaton, permutation_automaton, reference_merge_search
 from synchrolab import (
+    Automaton,
     CapacityError,
     InvalidInputError,
     NotSynchronizableError,
@@ -83,6 +84,21 @@ def test_pair_merge_respects_max_len():
     assert pair_shortest_merge(aut, 1, 2, max_len=1).distance == math.inf
 
 
+@pytest.mark.parametrize("unbounded", [float("inf"), np.inf])
+def test_pair_merge_any_infinity_searches_to_exhaustion(unbounded):
+    # a walks 0 -> 1 -> ... -> 63 -> 63, b is the identity: 0 and 1 merge
+    # after 63 letters, past the default budget of 44
+    table = np.tile(np.arange(64, dtype=np.int64).reshape(-1, 1), (1, 2))
+    table[:, 0] = np.minimum(np.arange(64) + 1, 63)
+    aut = Automaton(table)
+    assert pair_shortest_merge(aut, 0, 1).distance == math.inf
+    res = pair_shortest_merge(aut, 0, 1, max_len=unbounded)
+    assert res.distance == 63 and res.witness == Word([0] * 63)
+    assert res == pair_shortest_merge(aut, 0, 1, max_len=math.inf)
+    res = pair_shortest_merge(permutation_automaton(6), 0, 3, max_len=unbounded)
+    assert res.distance == math.inf and res.witness is None
+
+
 def test_pair_merge_rejects_bad_states():
     with pytest.raises(InvalidInputError):
         pair_shortest_merge(constant_automaton(3), 0, 3)
@@ -141,6 +157,72 @@ def test_merge_search_selects_minimal_distance_source(rng):
         assert apply_word(aut, word, x) == apply_word(aut, word, y)
 
 
+def two_component_automaton(rng, n1, n2, k):
+    """Two random automata side by side: a pair with one state in each part
+    never merges."""
+    left = sample_uniform_automaton(n1, k, rng).table
+    right = sample_uniform_automaton(n2, k, rng).table + n1
+    return Automaton(np.vstack([left, right]))
+
+
+def test_merge_search_word_matches_reference(rng):
+    # the exact (label, word), not just its length, for every tie-break:
+    # depth, then source label, then letter, then frontier position
+    from synchrolab.sync import _merge_search
+
+    for trial in range(120):
+        k = 2 + trial % 2
+        if trial % 3 == 0:
+            aut = two_component_automaton(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)), k)
+        else:
+            aut = sample_uniform_automaton(int(rng.integers(3, 40)), k, rng)
+        pairs = list(itertools.combinations(range(aut.n), 2))
+        count = int(rng.integers(1, min(len(pairs), 12) + 1))
+        sources = [pairs[i] for i in np.sort(rng.choice(len(pairs), size=count, replace=False))]
+        src = np.array(sources, dtype=np.int64)
+        for max_len in (None, 1, 2, 3, 5):
+            expected = reference_merge_search(aut, sources, max_len)
+            res = _merge_search(aut, src[:, 0], src[:, 1], max_len=max_len)
+            if expected is None:
+                assert res is None
+            else:
+                assert res == (expected[0], Word(expected[1]))
+
+
+def test_merge_search_visit_guard_boundary():
+    # from (0, 3) the cyclic shift visits (1, 4) and (2, 5): three pairs in all
+    from synchrolab.sync import _merge_search
+
+    aut = permutation_automaton(6)
+    src = np.array([0], dtype=np.int64), np.array([3], dtype=np.int64)
+    assert _merge_search(aut, *src, visit_limit=3) is None
+    with pytest.raises(CapacityError, match="pair search visited more than 2 pairs"):
+        _merge_search(aut, *src, visit_limit=2)
+
+
+def reference_greedy(aut, states):
+    cur, out = sorted(states), []
+    while len(cur) > 1:
+        res = reference_merge_search(aut, list(itertools.combinations(cur, 2)))
+        if res is None:
+            return None
+        for c in res[1]:
+            cur = sorted({int(aut.letter(c)[s]) for s in cur})
+        out.extend(res[1])
+    return Word(out)
+
+
+def test_greedy_word_matches_reference(rng):
+    for trial in range(20):
+        aut = sample_uniform_automaton(int(rng.integers(2, 30)), 2 + trial % 2, rng)
+        expected = reference_greedy(aut, range(aut.n))
+        if expected is None:
+            with pytest.raises(NotSynchronizableError):
+                greedy_synchronize(aut, StateSet.full(aut.n))
+        else:
+            assert greedy_synchronize(aut, StateSet.full(aut.n)) == expected
+
+
 # ---------------------------------------------------------------------
 # all-pairs radius
 # ---------------------------------------------------------------------
@@ -193,6 +275,21 @@ def test_greedy_permutation_reports_stuck_pair():
     with pytest.raises(NotSynchronizableError) as exc:
         greedy_synchronize(permutation_automaton(4), StateSet.full(4))
     assert exc.value.pair == (0, 1)
+
+
+def test_greedy_permutation_beyond_pair_budget_reports_stuck_pair():
+    # 10^4 states give 49995000 source pairs, over the search budget, but
+    # permutation letters settle the answer without a search
+    with pytest.raises(NotSynchronizableError) as exc:
+        greedy_synchronize(permutation_automaton(10_000), StateSet.full(10_000))
+    assert exc.value.pair == (0, 1)
+
+
+def test_greedy_pair_budget_guard():
+    table = np.tile(np.arange(7000, dtype=np.int64).reshape(-1, 1), (1, 2))
+    table[0, 0] = 1  # not a permutation: 0 and 1 merge under a
+    with pytest.raises(CapacityError, match="candidate pairs exceed the search budget"):
+        greedy_synchronize(Automaton(table), StateSet.full(7000))
 
 
 def test_greedy_rejects_empty_set():
