@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Dense membership masks are only materialized below this state count;
-# larger sets fall back to binary search over the sorted member array.
-MASK_THRESHOLD = 1 << 24
-
 _MAX_TEXT_ALPHABET = 26
 
 
@@ -92,11 +88,10 @@ class Word:
 class StateSet:
     """Subset of [0, n), stored as a sorted unique index array.
 
-    Cardinality is O(1); membership is O(1) through a lazily built boolean
-    mask while n <= MASK_THRESHOLD, and binary search above that.
+    Cardinality is O(1); membership is one binary search over the members.
     """
 
-    __slots__ = ("_n", "_members", "_mask")
+    __slots__ = ("_n", "_members")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
         n = int(n)
@@ -112,7 +107,6 @@ class StateSet:
         arr.setflags(write=False)
         self._n = n
         self._members = arr
-        self._mask = None
 
     @classmethod
     def full(cls, n: int) -> "StateSet":
@@ -126,7 +120,6 @@ class StateSet:
         arr.setflags(write=False)
         obj._n = int(n)
         obj._members = arr
-        obj._mask = None
         return obj
 
     @property
@@ -144,12 +137,6 @@ class StateSet:
         x = int(x)
         if not 0 <= x < self._n:
             return False
-        if self._n <= MASK_THRESHOLD:
-            if self._mask is None:
-                mask = np.zeros(self._n, dtype=bool)
-                mask[self._members] = True
-                self._mask = mask
-            return bool(self._mask[x])
         pos = int(np.searchsorted(self._members, x))
         return pos < self._members.size and int(self._members[pos]) == x
 

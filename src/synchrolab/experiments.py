@@ -6,16 +6,22 @@ execution order.  Trial rows go to CSV (one row per measured quantity,
 header fixed below); aggregated statistics and acceptance verdicts go to a
 summary JSON.  Wall times are recorded for reporting but are the one column
 that naturally differs between runs.
+
+Each experiment is one entry of the EXPERIMENTS table (trial function,
+accepted overrides, trial layout, judge); run_experiment runs any of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,16 +62,6 @@ EXTINCTION_SIGMA = 3.0
 DEFAULT_ELL_VALUES = (1, 2, 3)
 DEFAULT_K_VALUES = (1, 2, 3, 4)
 
-_ALLOWED_OVERRIDES = {
-    "unary-image": set(),
-    "interleaved-image": set(),
-    "pair-radius": {"bound_multiplier"},
-    "two-phase": set(),
-    "extinction-bound": {"ell_values", "k_values", "prob_vector"},
-    "uniform-maximizer": set(),
-    "reset-length": set(),
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -73,7 +69,9 @@ class ExperimentConfig:
 
     For extinction-bound the n values are vertex counts, `trials` is the
     Monte Carlo repetition count per grid point, and each (ell, k) grid
-    point occupies one trial slot.
+    point occupies one trial slot.  A malformed request raises
+    InvalidInputError here, before any trial runs; `overrides` keeps the
+    values as given, and `params` holds them parsed.
     """
 
     experiment: str
@@ -84,29 +82,40 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in _ALLOWED_OVERRIDES:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise InvalidInputError(
                 f"unknown experiment {self.experiment!r}; "
-                f"choose from {sorted(_ALLOWED_OVERRIDES)}"
+                f"choose from {sorted(EXPERIMENTS)}"
             )
-        if not self.n_list:
-            raise InvalidInputError("n_list must be nonempty")
-        self.n_list = [int(n) for n in self.n_list]
+        self.n_list = _ints("n_list", self.n_list)
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise InvalidInputError("n_list must be strictly ascending")
-        if isinstance(self.trials, int):
+        if isinstance(self.trials, numbers.Integral):
             self.trials = [self.trials] * len(self.n_list)
-        self.trials = [int(t) for t in self.trials]
+        self.trials = _ints("trials", self.trials)
         if len(self.trials) != len(self.n_list):
             raise InvalidInputError("trials must be one count or one per n")
         if any(t < 1 for t in self.trials):
             raise InvalidInputError("trial counts must be at least 1")
-        self.seed = int(self.seed)
-        extra = set(self.overrides) - _ALLOWED_OVERRIDES[self.experiment]
+        self.seed = _int("seed", self.seed)
+        if not (self.out is None or isinstance(self.out, str)):
+            raise InvalidInputError(f"out must be a path string, got {self.out!r}")
+        if not isinstance(self.overrides, dict):
+            raise InvalidInputError(f"overrides must be an object, got {self.overrides!r}")
+        extra = set(self.overrides) - set(EXPERIMENTS[self.experiment].overrides)
         if extra:
             raise InvalidInputError(
                 f"unsupported overrides for {self.experiment}: {sorted(extra)}"
             )
+        self.params  # a malformed override value raises here
+
+    @property
+    def params(self) -> dict:
+        """Every override the experiment accepts, parsed, defaults filled in."""
+        return {
+            name: parse(f"override {name}", self.overrides.get(name, default))
+            for name, (default, parse) in EXPERIMENTS[self.experiment].overrides.items()
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -121,22 +130,15 @@ class ExperimentConfig:
             raise InvalidInputError(f"missing config fields: {sorted(missing)}")
         return cls(
             experiment=data["experiment"],
-            n_list=list(data["n_list"]),
+            n_list=data["n_list"],
             trials=data["trials"],
             seed=data.get("seed", 0),
             out=data.get("out"),
-            overrides=dict(data.get("overrides", {})),
+            overrides=data.get("overrides", {}),
         )
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "n_list": list(self.n_list),
-            "trials": list(self.trials),
-            "seed": self.seed,
-            "out": self.out,
-            "overrides": dict(self.overrides),
-        }
+        return asdict(self)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -145,6 +147,33 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"invalid config JSON: {exc}") from exc
     return ExperimentConfig.from_dict(data)
+
+
+# --- config and override parsers: (what, raw value) -> value ----------------
+
+
+def _int(what: str, raw) -> int:
+    if isinstance(raw, numbers.Integral) and not isinstance(raw, bool):
+        return int(raw)
+    raise InvalidInputError(f"{what} must be an integer, got {raw!r}")
+
+
+def _ints(what: str, raw) -> list[int]:
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise InvalidInputError(f"{what} must be a nonempty list of integers, got {raw!r}")
+    return [_int(f"{what} entry", v) for v in raw]
+
+
+def _number(what: str, raw) -> float:
+    if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
+        return float(raw)
+    raise InvalidInputError(f"{what} must be a number, got {raw!r}")
+
+
+def _prob_vector(what: str, raw) -> str:
+    if raw not in ("dirichlet", "uniform"):
+        raise InvalidInputError(f"{what} must be 'dirichlet' or 'uniform', got {raw!r}")
+    return raw
 
 
 @dataclass
@@ -321,57 +350,25 @@ def measure_reset_length(aut: Automaton) -> dict[str, float]:
     }
 
 
-# --- trial plumbing ---------------------------------------------------------
+# --- trial functions: (rng, n, **params) -> measured quantities --------------
 
 
-@dataclass
-class _TrialSpec:
-    experiment: str
-    n: int
-    trial: int
-    stream_index: int
-    master: int
-    params: dict
+def _on_sample(measure, rng: np.random.Generator, n: int, **params) -> dict[str, float]:
+    """Apply an automaton measurement to a uniform binary automaton drawn
+    from the trial's stream."""
+    return measure(sample_uniform_automaton(n, 2, rng), **params)
 
 
-def _sampled(spec: _TrialSpec) -> Automaton:
-    rng = Seed(spec.master).stream(spec.stream_index)
-    return sample_uniform_automaton(spec.n, 2, rng)
-
-
-def _trial_unary(spec: _TrialSpec) -> dict[str, float]:
-    return measure_unary_image(_sampled(spec))
-
-
-def _trial_interleaved(spec: _TrialSpec) -> dict[str, float]:
-    return measure_interleaved_image(_sampled(spec))
-
-
-def _trial_radius(spec: _TrialSpec) -> dict[str, float]:
-    return measure_pair_radius(_sampled(spec), spec.params["bound_multiplier"])
-
-
-def _trial_two_phase(spec: _TrialSpec) -> dict[str, float]:
-    return measure_two_phase(_sampled(spec))
-
-
-def _trial_reset_length(spec: _TrialSpec) -> dict[str, float]:
-    return measure_reset_length(_sampled(spec))
-
-
-def _trial_extinction(spec: _TrialSpec) -> dict[str, float]:
+def _trial_extinction(
+    rng: np.random.Generator, nv: int, ell: int, k: int, reps: int, prob_vector: str
+) -> dict[str, float]:
     """One grid point: Monte Carlo estimate of Pr(no vertex at distance
     exactly k from a uniform ell-set), versus the extinction bound q_k^ell."""
-    rng = Seed(spec.master).stream(spec.stream_index)
-    nv = spec.n
-    ell = int(spec.params["ell"])
-    k = int(spec.params["k"])
-    reps = int(spec.params["reps"])
     if not 1 <= ell <= nv:
         raise InvalidInputError(f"set size {ell} out of range [1, {nv}]")
     if k < 0:
         raise InvalidInputError("distance k must be non-negative")
-    if spec.params["prob_vector"] == "uniform":
+    if prob_vector == "uniform":
         p = np.full(nv, 1.0 / nv)
     else:
         p = rng.dirichlet(np.ones(nv))
@@ -407,30 +404,56 @@ def _trial_extinction(spec: _TrialSpec) -> dict[str, float]:
     }
 
 
-def _trial_maximizer(spec: _TrialSpec) -> dict[str, float]:
-    rng = Seed(spec.master).stream(spec.stream_index)
-    nv = spec.n
+def _trial_maximizer(rng: np.random.Generator, nv: int) -> dict[str, float]:
     challenger = ProbVector(rng.dirichlet(np.ones(nv)))
     uniform_value = expected_cyclic_exact(ProbVector.uniform(nv))
     value = expected_cyclic_exact(challenger)
     return {"gap": uniform_value - value, "challenger_value": value}
 
 
-_TRIAL_FNS = {
-    "unary-image": _trial_unary,
-    "interleaved-image": _trial_interleaved,
-    "pair-radius": _trial_radius,
-    "two-phase": _trial_two_phase,
-    "extinction-bound": _trial_extinction,
-    "uniform-maximizer": _trial_maximizer,
-    "reset-length": _trial_reset_length,
-}
+# --- trial layout and execution ---------------------------------------------
+
+
+@dataclass
+class _TrialSpec:
+    experiment: str
+    n: int
+    trial: int
+    stream_index: int
+    master: int
+    params: dict
+
+
+def _grid_layout(params: dict, trials: int) -> list[dict]:
+    """`trials` trials per n, each given the parsed overrides."""
+    return [params] * trials
+
+
+def _extinction_layout(params: dict, reps: int) -> list[dict]:
+    """One trial slot per (ell, k) grid point, each of `reps` repetitions."""
+    return [
+        {"ell": ell, "k": k, "reps": reps, "prob_vector": params["prob_vector"]}
+        for ell in params["ell_values"]
+        for k in params["k_values"]
+    ]
+
+
+def _specs(config: ExperimentConfig, layout) -> list[_TrialSpec]:
+    """Trial specs in (n, slot) order; the i-th spec draws from stream i."""
+    params = config.params
+    specs = []
+    for n, count in zip(config.n_list, config.trials):
+        for slot, slot_params in enumerate(layout(params, count)):
+            specs.append(
+                _TrialSpec(config.experiment, n, slot, len(specs), config.seed, slot_params)
+            )
+    return specs
 
 
 def _run_trial(spec: _TrialSpec) -> TrialRecord:
-    fn = _TRIAL_FNS[spec.experiment]
+    trial = EXPERIMENTS[spec.experiment].trial
     t0 = time.perf_counter()
-    quantities = fn(spec)
+    quantities = trial(Seed(spec.master).stream(spec.stream_index), spec.n, **spec.params)
     wall = (time.perf_counter() - t0) * 1000.0
     return TrialRecord(spec.experiment, spec.n, spec.trial, spec.stream_index, quantities, wall)
 
@@ -458,17 +481,6 @@ def _execute(specs: list[_TrialSpec], workers: int | None) -> list[TrialRecord]:
         return list(pool.map(_run_trial, specs, chunksize=chunk))
 
 
-def _grid_specs(config: ExperimentConfig, params_for_n) -> list[_TrialSpec]:
-    specs = []
-    stream = 0
-    for n, trials in zip(config.n_list, config.trials):
-        params = params_for_n(n)
-        for t in range(trials):
-            specs.append(_TrialSpec(config.experiment, n, t, stream, config.seed, params))
-            stream += 1
-    return specs
-
-
 def _fmt_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -491,32 +503,12 @@ def write_summary_json(stats: SummaryStats, path: str | Path) -> None:
     Path(path).write_text(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _finish(config: ExperimentConfig, records: list[TrialRecord], stats: SummaryStats) -> SummaryStats:
-    stats.meta.setdefault("config", config.to_dict())
-    if config.out is not None:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_records_csv(records, out / f"{config.experiment}.csv")
-        write_summary_json(stats, out / f"{config.experiment}_summary.json")
-    return stats
+# --- judges: fill in a summary's derived values, verdicts and metadata -------
 
 
-def _require(config: ExperimentConfig, experiment: str) -> None:
-    if config.experiment != experiment:
-        raise InvalidInputError(
-            f"config names experiment {config.experiment!r}, expected {experiment!r}"
-        )
-
-
-# --- experiment runners -----------------------------------------------------
-
-
-def run_unary_image(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-    """Image size after the repeated-letter word; the mean over trials is
-    compared against sqrt(2 pi n) and must land in UNARY_RATIO_BAND."""
-    _require(config, "unary-image")
-    records = _execute(_grid_specs(config, lambda n: {}), workers)
-    stats = summarize(records)
+def _judge_unary(config: ExperimentConfig, stats: SummaryStats) -> None:
+    """The mean image size after the repeated-letter word, over
+    sqrt(2 pi n), must land in UNARY_RATIO_BAND."""
     lo, hi = UNARY_RATIO_BAND
     for n in config.n_list:
         ratio = stats.per_n[n]["image_size"].mean / math.sqrt(2.0 * math.pi * n)
@@ -529,19 +521,12 @@ def run_unary_image(config: ExperimentConfig, workers: int | None = None) -> Sum
             )
         )
     stats.meta["ratio_band"] = list(UNARY_RATIO_BAND)
-    return _finish(config, records, stats)
 
 
-def run_interleaved_image(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-    """Paired image sizes under the interleaved and repeated-letter words.
-
-    Verdicts: the interleaved mean is strictly below the repeated-letter
-    mean at every n, and mean|A|/sqrt(n/log2 n) moves by less than a factor
-    INTERLEAVED_STABILITY_FACTOR between the smallest and largest n.
-    """
-    _require(config, "interleaved-image")
-    records = _execute(_grid_specs(config, lambda n: {}), workers)
-    stats = summarize(records)
+def _judge_interleaved(config: ExperimentConfig, stats: SummaryStats) -> None:
+    """The interleaved mean is strictly below the repeated-letter mean at
+    every n, and mean|A|/sqrt(n/log2 n) moves by less than a factor
+    INTERLEAVED_STABILITY_FACTOR between the smallest and largest n."""
     ratios = {}
     for n in config.n_list:
         mean_inter = stats.per_n[n]["image_interleaved"].mean
@@ -569,16 +554,12 @@ def run_interleaved_image(config: ExperimentConfig, workers: int | None = None) 
             )
         )
     stats.meta["stability_factor_cap"] = INTERLEAVED_STABILITY_FACTOR
-    return _finish(config, records, stats)
 
 
-def run_pair_radius(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-    """All-pairs merge radius distribution; at least RADIUS_FRACTION_MIN of
-    trials must have radius <= bound_multiplier * log2(n)."""
-    _require(config, "pair-radius")
-    mult = float(config.overrides.get("bound_multiplier", RADIUS_BOUND_MULTIPLIER))
-    records = _execute(_grid_specs(config, lambda n: {"bound_multiplier": mult}), workers)
-    stats = summarize(records)
+def _judge_radius(config: ExperimentConfig, stats: SummaryStats) -> None:
+    """At least RADIUS_FRACTION_MIN of the trials must have a merge radius
+    of at most bound_multiplier * log2(n)."""
+    mult = config.params["bound_multiplier"]
     for n in config.n_list:
         frac = stats.per_n[n]["within_bound"].mean
         stats.derived[n] = {
@@ -595,19 +576,12 @@ def run_pair_radius(config: ExperimentConfig, workers: int | None = None) -> Sum
         )
     stats.meta["bound_multiplier"] = mult
     stats.meta["fraction_min"] = RADIUS_FRACTION_MIN
-    return _finish(config, records, stats)
 
 
-def run_two_phase(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-    """Two-phase reset words on random automata.
-
-    Verdicts: every produced word verifies, the synchronizable fraction is
-    at least TWO_PHASE_SUCCESS_MIN per n, and (with >= 2 sizes) the log-log
-    slope of the median total length lies in TWO_PHASE_SLOPE_BAND.
-    """
-    _require(config, "two-phase")
-    records = _execute(_grid_specs(config, lambda n: {}), workers)
-    stats = summarize(records)
+def _judge_two_phase(config: ExperimentConfig, stats: SummaryStats) -> None:
+    """Every produced word verifies, the synchronizable fraction is at
+    least TWO_PHASE_SUCCESS_MIN per n, and (with >= 2 sizes) the log-log
+    slope of the median total length lies in TWO_PHASE_SLOPE_BAND."""
     medians = {}
     for n in config.n_list:
         by_q = stats.per_n[n]
@@ -649,33 +623,11 @@ def run_two_phase(config: ExperimentConfig, workers: int | None = None) -> Summa
         )
     stats.meta["slope_band"] = list(TWO_PHASE_SLOPE_BAND)
     stats.meta["success_min"] = TWO_PHASE_SUCCESS_MIN
-    return _finish(config, records, stats)
 
 
-def run_extinction_bound(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-    """Monte Carlo check of the extinction lower bound q_k^ell.
-
-    Each (n, ell, k) grid point is one trial slot holding `trials` inner
-    repetitions; a point flags a violation when its estimate falls more than
-    EXTINCTION_SIGMA standard errors below the bound.
-    """
-    _require(config, "extinction-bound")
-    ells = [int(v) for v in config.overrides.get("ell_values", DEFAULT_ELL_VALUES)]
-    ks = [int(v) for v in config.overrides.get("k_values", DEFAULT_K_VALUES)]
-    dist = config.overrides.get("prob_vector", "dirichlet")
-    if dist not in ("dirichlet", "uniform"):
-        raise InvalidInputError("prob_vector override must be 'dirichlet' or 'uniform'")
-    points = [(ell, k) for ell in ells for k in ks]
-
-    specs = []
-    stream = 0
-    for n, reps in zip(config.n_list, config.trials):
-        for idx, (ell, k) in enumerate(points):
-            params = {"ell": ell, "k": k, "reps": reps, "prob_vector": dist}
-            specs.append(_TrialSpec(config.experiment, n, idx, stream, config.seed, params))
-            stream += 1
-    records = _execute(specs, workers)
-    stats = summarize(records)
+def _judge_extinction(config: ExperimentConfig, stats: SummaryStats) -> None:
+    """No grid point may fall more than EXTINCTION_SIGMA standard errors
+    below the extinction bound q_k^ell."""
     total_violations = 0.0
     for n in config.n_list:
         viol = stats.per_n[n]["violation"].mean * stats.per_n[n]["violation"].count
@@ -690,17 +642,14 @@ def run_extinction_bound(config: ExperimentConfig, workers: int | None = None) -
             f"{EXTINCTION_SIGMA} stderr below the bound",
         )
     )
-    stats.meta["grid"] = {"ell_values": ells, "k_values": ks, "prob_vector": dist}
+    stats.meta["grid"] = config.params
     stats.meta["sigma"] = EXTINCTION_SIGMA
-    return _finish(config, records, stats)
 
 
-def run_uniform_maximizer(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-    """Exact cyclic-vertex expectation at the uniform vector versus random
-    simplex challengers; the worst gap must stay above -MAXIMIZER_TOLERANCE."""
-    _require(config, "uniform-maximizer")
-    records = _execute(_grid_specs(config, lambda n: {}), workers)
-    stats = summarize(records)
+def _judge_maximizer(config: ExperimentConfig, stats: SummaryStats) -> None:
+    """The exact cyclic-vertex expectation at the uniform vector beats every
+    random simplex challenger: the worst gap stays above
+    -MAXIMIZER_TOLERANCE."""
     for n in config.n_list:
         uniform_value = expected_cyclic_exact(ProbVector.uniform(n))
         min_gap = stats.per_n[n]["gap"].min
@@ -714,16 +663,11 @@ def run_uniform_maximizer(config: ExperimentConfig, workers: int | None = None) 
             )
         )
     stats.meta["tolerance"] = MAXIMIZER_TOLERANCE
-    return _finish(config, records, stats)
 
 
-def run_reset_length(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-    """Exact shortest-reset-length distribution on small random automata;
-    exploratory (no pass/fail band), reported with n^(1/2) and n^(1/3)
-    ratios."""
-    _require(config, "reset-length")
-    records = _execute(_grid_specs(config, lambda n: {}), workers)
-    stats = summarize(records)
+def _judge_reset_length(config: ExperimentConfig, stats: SummaryStats) -> None:
+    """Exploratory, no verdicts: the synchronizable fraction and the mean
+    length over n^(1/2) and n^(1/3)."""
     for n in config.n_list:
         by_q = stats.per_n[n]
         derived = {"success_fraction": by_q["synchronizable"].mean}
@@ -731,21 +675,80 @@ def run_reset_length(config: ExperimentConfig, workers: int | None = None) -> Su
             derived["mean_length_over_sqrt_n"] = by_q["length_over_sqrt_n"].mean
             derived["mean_length_over_cbrt_n"] = by_q["length_over_cbrt_n"].mean
         stats.derived[n] = derived
-    return _finish(config, records, stats)
 
 
-_RUNNERS = {
-    "unary-image": run_unary_image,
-    "interleaved-image": run_interleaved_image,
-    "pair-radius": run_pair_radius,
-    "two-phase": run_two_phase,
-    "extinction-bound": run_extinction_bound,
-    "uniform-maximizer": run_uniform_maximizer,
-    "reset-length": run_reset_length,
+# --- the experiment table and its runner ------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One named experiment.
+
+    `trial(rng, n, **params)` measures one trial; `overrides` maps each
+    accepted override to its default and its parser `(what, raw) -> value`;
+    `layout(params, count)` gives the params of each trial slot at one n
+    (`count` is the config's trials entry for that n); `judge(config,
+    stats)` fills in the summary's derived values, verdicts and metadata.
+    """
+
+    name: str
+    trial: Callable[..., dict[str, float]]
+    judge: Callable[[ExperimentConfig, SummaryStats], None]
+    overrides: dict[str, tuple] = field(default_factory=dict)
+    layout: Callable[[dict, int], list[dict]] = _grid_layout
+
+
+EXPERIMENTS = {
+    e.name: e
+    for e in (
+        Experiment("unary-image", partial(_on_sample, measure_unary_image), _judge_unary),
+        Experiment("interleaved-image", partial(_on_sample, measure_interleaved_image),
+                   _judge_interleaved),
+        Experiment("pair-radius", partial(_on_sample, measure_pair_radius), _judge_radius,
+                   {"bound_multiplier": (RADIUS_BOUND_MULTIPLIER, _number)}),
+        Experiment("two-phase", partial(_on_sample, measure_two_phase), _judge_two_phase),
+        Experiment("extinction-bound", _trial_extinction, _judge_extinction,
+                   {"ell_values": (DEFAULT_ELL_VALUES, _ints),
+                    "k_values": (DEFAULT_K_VALUES, _ints),
+                    "prob_vector": ("dirichlet", _prob_vector)},
+                   _extinction_layout),
+        Experiment("uniform-maximizer", _trial_maximizer, _judge_maximizer),
+        Experiment("reset-length", partial(_on_sample, measure_reset_length), _judge_reset_length),
+    )
 }
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-    """Dispatch a config to its runner (writing CSV + summary JSON when the
-    config carries an output directory)."""
-    return _RUNNERS[config.experiment](config, workers)
+    """Run a config's trials, summarize and judge them, and write the CSV
+    and summary JSON when the config carries an output directory."""
+    experiment = EXPERIMENTS[config.experiment]
+    records = _execute(_specs(config, experiment.layout), workers)
+    stats = summarize(records)
+    experiment.judge(config, stats)
+    stats.meta.setdefault("config", config.to_dict())
+    if config.out is not None:
+        out = Path(config.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_records_csv(records, out / f"{config.experiment}.csv")
+        write_summary_json(stats, out / f"{config.experiment}_summary.json")
+    return stats
+
+
+def _runner_for(name: str):
+    def run(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
+        if config.experiment != name:
+            raise InvalidInputError(
+                f"config names experiment {config.experiment!r}, expected {name!r}"
+            )
+        return run_experiment(config, workers)
+
+    return run
+
+
+run_unary_image = _runner_for("unary-image")
+run_interleaved_image = _runner_for("interleaved-image")
+run_pair_radius = _runner_for("pair-radius")
+run_two_phase = _runner_for("two-phase")
+run_extinction_bound = _runner_for("extinction-bound")
+run_uniform_maximizer = _runner_for("uniform-maximizer")
+run_reset_length = _runner_for("reset-length")

@@ -221,30 +221,17 @@ def sample_one_out_digraph(p, seed=0) -> FunctionalGraph:
 
 
 def cyclic_states(g: FunctionalGraph) -> StateSet:
-    """Vertices lying on a directed cycle, found by one O(n) successor walk.
+    """Vertices lying on a directed cycle, as the image of f^(2^j), 2^j >= n.
 
-    Colors: 0 unvisited, 1 on the current walk, 2 finished.  When a walk
-    re-enters itself the suffix from the first repeated vertex is a cycle.
+    A walk is on its cycle after at most n - 1 steps, and each cycle vertex
+    is the m-th successor of some vertex of its own cycle, so for m >= n - 1
+    the image of f^m is exactly the set of cyclic vertices.  f^(2^j) takes
+    j = ceil(log2 n) squarings of the successor array (pointer doubling).
     """
-    succ = g.succ
-    n = g.n
-    color = np.zeros(n, dtype=np.uint8)
-    cyclic = np.zeros(n, dtype=bool)
-    for v0 in range(n):
-        if color[v0]:
-            continue
-        path = []
-        v = v0
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = int(succ[v])
-        if color[v] == 1:
-            for w in path[path.index(v):]:
-                cyclic[w] = True
-        for w in path:
-            color[w] = 2
-    return StateSet._from_sorted_unique(n, np.flatnonzero(cyclic).astype(np.int64))
+    f = g.succ
+    for _ in range((g.n - 1).bit_length()):
+        f = f[f]
+    return StateSet._from_sorted_unique(g.n, np.unique(f))
 
 
 def survival_probability(n: int, t: int) -> float:

@@ -200,10 +200,10 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
         max_len = default_pair_search_limit(n)
     elif max_len == math.inf:
         max_len = None
+    elif not max_len >= 1:  # also -inf and nan, which int() cannot take
+        raise InvalidInputError("max_len must be positive")
     else:
         max_len = int(max_len)
-        if max_len < 1:
-            raise InvalidInputError("max_len must be positive")
     if x == y:
         return PairDistanceResult(0, Word())
     lo, hi = (x, y) if x < y else (y, x)

@@ -125,6 +125,35 @@ def test_experiment_subcommand(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "two-phase", "n_list": [10, 20], "trials": "12"},
+        {"experiment": "two-phase", "n_list": ["a"], "trials": 1},
+        {"experiment": "pair-radius", "n_list": [16], "trials": 1,
+         "overrides": {"bound_multiplier": "x"}},
+        {"experiment": "extinction-bound", "n_list": [4], "trials": 10,
+         "overrides": {"ell_values": 5}},
+        {"experiment": "extinction-bound", "n_list": [4], "trials": 10,
+         "overrides": {"k_values": []}},
+        {"experiment": "two-phase", "n_list": 10, "trials": 1},
+        {"experiment": "two-phase", "n_list": [10.5], "trials": 1},
+        {"experiment": "two-phase", "n_list": [10], "trials": [True]},
+        {"experiment": "two-phase", "n_list": [10], "trials": 1, "seed": "7"},
+        {"experiment": "two-phase", "n_list": [10], "trials": 1, "out": 5},
+        {"experiment": "pair-radius", "n_list": [16], "trials": 1, "overrides": [1]},
+        {"experiment": ["two-phase"], "n_list": [10], "trials": 1},
+    ],
+)
+def test_malformed_experiment_config_exits_1(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+    assert code == 1 and out == ""
+    assert err.startswith("invalid input: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cerny_subcommand(tmp_path, capsys):
     path = tmp_path / "c5.dfa"
     code, _, _ = run_cli(capsys, "cerny", "--n", "5", "--out", str(path))

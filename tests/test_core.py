@@ -52,6 +52,11 @@ def test_stateset_dedup_and_order():
     assert list(s) == [1, 3, 5]
     assert len(s) == 3
     assert 3 in s and 4 not in s and -1 not in s
+    edges = StateSet(10, [0, 9])
+    assert 0 in edges and 9 in edges
+    assert 1 not in edges and 8 not in edges and 10 not in edges
+    empty = StateSet(10)
+    assert 0 not in empty and 9 not in empty and 5 not in empty
 
 
 def test_stateset_bounds_checked():

@@ -8,6 +8,7 @@ from helpers import constant_automaton, permutation_automaton
 from synchrolab import InvalidInputError
 from synchrolab.experiments import (
     CSV_HEADER,
+    EXPERIMENTS,
     ExperimentConfig,
     TrialRecord,
     load_config,
@@ -176,6 +177,35 @@ def test_run_unary_image_worker_count_does_not_change_results(tmp_path, monkeypa
     assert serial.per_n == parallel.per_n
 
 
+# one small config per experiment, each with at least two trial slots so
+# that two workers really split the work
+TINY = {
+    "unary-image": dict(n_list=[64, 128], trials=3),
+    "interleaved-image": dict(n_list=[64, 128], trials=3),
+    "pair-radius": dict(n_list=[32], trials=4, overrides={"bound_multiplier": 2}),
+    "two-phase": dict(n_list=[50, 100], trials=3),
+    "extinction-bound": dict(n_list=[6], trials=200,
+                             overrides={"ell_values": [1, 2], "k_values": [1, 2]}),
+    "uniform-maximizer": dict(n_list=[3], trials=6),
+    "reset-length": dict(n_list=[8], trials=4),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_worker_count_does_not_change_artifacts(name, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    config = dict(experiment=name, seed=5, out=str(out), **TINY[name])
+    artifacts = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SYNCHROLAB_THREADS", threads)
+        run_experiment(ExperimentConfig(**config))
+        rows = (out / f"{name}.csv").read_text().splitlines()
+        summary = (out / f"{name}_summary.json").read_bytes()
+        artifacts.append(([r.rsplit(",", 1)[0] for r in rows], summary))
+    assert artifacts[0] == artifacts[1]
+    assert len(artifacts[0][0]) > 2
+
+
 def test_run_interleaved_image_small():
     stats = run_interleaved_image(
         ExperimentConfig(experiment="interleaved-image", n_list=[256, 512], trials=6, seed=5)
@@ -262,6 +292,8 @@ def test_run_experiment_dispatch(tmp_path):
     )
     stats = run_experiment(cfg)
     assert stats.experiment == "uniform-maximizer"
+    with pytest.raises(InvalidInputError):
+        run_two_phase(cfg)
     assert (tmp_path / "uniform-maximizer.csv").exists()
     assert (tmp_path / "uniform-maximizer_summary.json").exists()
 

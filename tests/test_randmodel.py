@@ -123,20 +123,38 @@ def test_cyclic_states_examples():
     assert list(cyclic_states(FunctionalGraph([1, 2, 2]))) == [2]
 
 
+def cyclic_by_iteration(succ) -> set[int]:
+    """Vertices v with succ^t(v) = v for some 1 <= t <= n."""
+    n = len(succ)
+    cyclic = set()
+    for v in range(n):
+        x = v
+        for _ in range(n):
+            x = int(succ[x])
+            if x == v:
+                cyclic.add(v)
+                break
+    return cyclic
+
+
 def test_cyclic_states_matches_iteration_oracle(rng):
     for _ in range(25):
         n = int(rng.integers(1, 50))
         succ = rng.integers(0, n, size=n)
-        got = set(cyclic_states(FunctionalGraph(succ)))
-        expected = set()
-        for v in range(n):
-            x = v
-            for _ in range(n):
-                x = int(succ[x])
-                if x == v:
-                    expected.add(v)
-                    break
-        assert got == expected
+        assert set(cyclic_states(FunctionalGraph(succ))) == cyclic_by_iteration(succ)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 100])
+def test_cyclic_states_longest_tail_and_full_cycle(n):
+    # the longest tails, n - 1 steps into a self-loop, in both directions,
+    # and the single n-cycle
+    forward = np.minimum(np.arange(n) + 1, n - 1)
+    backward = np.maximum(np.arange(n) - 1, 0)
+    cycle = (np.arange(n) + 1) % n
+    for succ in (forward, backward, cycle):
+        assert set(cyclic_states(FunctionalGraph(succ))) == cyclic_by_iteration(succ)
+    assert list(cyclic_states(FunctionalGraph(forward))) == [n - 1]
+    assert len(cyclic_states(FunctionalGraph(cycle))) == n
 
 
 def test_functional_graph_automaton_round_trip():

@@ -102,8 +102,9 @@ def test_pair_merge_any_infinity_searches_to_exhaustion(unbounded):
 def test_pair_merge_rejects_bad_states():
     with pytest.raises(InvalidInputError):
         pair_shortest_merge(constant_automaton(3), 0, 3)
-    with pytest.raises(InvalidInputError):
-        pair_shortest_merge(constant_automaton(3), 1, 1, max_len=0)
+    for bad in (0, -math.inf, float("nan")):
+        with pytest.raises(InvalidInputError, match="max_len must be positive"):
+            pair_shortest_merge(constant_automaton(3), 1, 1, max_len=bad)
 
 
 def merge_distance_by_enumeration(aut, x, y, limit):
