@@ -8,6 +8,8 @@ reading order.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections.abc import Iterable
 from pathlib import Path
 from typing import TextIO
@@ -34,13 +36,31 @@ def char_to_letter(ch: str) -> int:
     return code
 
 
+def _as_index(value, what: str) -> int:
+    """value as a Python int; floats and other non-integral values raise
+    instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_int_array(values, what: str) -> np.ndarray:
+    """values as an int64 array; an empty input is accepted, anything not of
+    an integer dtype raises instead of being truncated."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InvalidInputError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class Word:
     """Immutable letter sequence; may be empty."""
 
     __slots__ = ("_letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        letters = tuple(int(c) for c in letters)
+        letters = tuple(_as_index(c, "letter") for c in letters)
         for c in letters:
             if c < 0:
                 raise InvalidInputError(f"negative letter {c}")
@@ -94,14 +114,12 @@ class StateSet:
     __slots__ = ("_n", "_members")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
-        n = int(n)
+        n = _as_index(n, "state count")
         if n < 1:
             raise InvalidInputError("state count must be positive")
-        if isinstance(members, np.ndarray):
-            base = members.astype(np.int64, copy=False)
-        else:
-            base = np.asarray(list(members), dtype=np.int64)
-        arr = np.unique(base)
+        if not isinstance(members, np.ndarray):
+            members = list(members)
+        arr = np.unique(_as_int_array(members, "members"))
         if arr.size and (arr[0] < 0 or arr[-1] >= n):
             raise InvalidInputError(f"members must lie in [0, {n})")
         arr.setflags(write=False)
@@ -167,7 +185,7 @@ class Automaton:
     """
 
     def __init__(self, table):
-        tab = np.asarray(table, dtype=np.int64)
+        tab = _as_int_array(table, "transition table entries")
         if tab.ndim != 2:
             raise InvalidInputError("transition table must be 2-D (n rows, k columns)")
         n, k = tab.shape
@@ -221,7 +239,7 @@ def _check_word(aut: Automaton, w: Word) -> None:
 
 def apply_word(aut: Automaton, w: Word, x: int) -> int:
     """Follow w from state x, leftmost letter first."""
-    x = int(x)
+    x = _as_index(x, "state")
     if not 0 <= x < aut.n:
         raise InvalidInputError(f"state {x} out of range [0, {aut.n})")
     _check_word(aut, w)
@@ -231,6 +249,26 @@ def apply_word(aut: Automaton, w: Word, x: int) -> int:
     return x
 
 
+def _image_members(aut: Automaton, letters: Iterable[int], members: np.ndarray) -> np.ndarray:
+    """Sorted unique image of members under letters, which must be in range.
+
+    Each letter gathers t = succ[members] and drops duplicates without a
+    sort: slot[t] = positions leaves in slot[v] exactly one of the positions
+    written to it, whichever numpy keeps, so t[slot[t] == positions] holds
+    each value once, in O(|t|).  The one sort comes at the end; an empty
+    word returns members itself.
+    """
+    slot = np.empty(aut.n, dtype=np.int64)
+    positions = np.arange(members.size, dtype=np.int64)
+    cur = members
+    for c in letters:
+        t = aut.letter(c)[cur]
+        pos = positions[:t.size]
+        slot[t] = pos
+        cur = t[slot[t] == pos]
+    return members if cur is members else np.sort(cur)
+
+
 def image(aut: Automaton, w: Word, A: StateSet) -> StateSet:
     """Set image of A under w, i.e. {apply_word(aut, w, x) : x in A}."""
     if A.n != aut.n:
@@ -238,10 +276,7 @@ def image(aut: Automaton, w: Word, A: StateSet) -> StateSet:
             f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
         )
     _check_word(aut, w)
-    members = A.members
-    for c in w:
-        members = np.unique(aut.letter(c)[members])
-    return StateSet._from_sorted_unique(aut.n, members)
+    return StateSet._from_sorted_unique(aut.n, _image_members(aut, w, A.members))
 
 
 def is_reset_word(aut: Automaton, w: Word) -> bool:
@@ -250,23 +285,17 @@ def is_reset_word(aut: Automaton, w: Word) -> bool:
 
 
 def iterate_unary_image(aut: Automaton, letter: int, t: int, A: StateSet) -> StateSet:
-    """Image of A under t repetitions of one letter.
-
-    Equivalent to image(aut, letter^t, A) but stated separately because the
-    per-step cost tracks the shrinking set size rather than t full table
-    scans.
-    """
-    t = int(t)
+    """Image of A under t repetitions of one letter, image(aut, letter^t, A)."""
+    letter = _as_index(letter, "letter")
+    t = _as_index(t, "repetition count")
     if t < 0:
         raise InvalidInputError("repetition count must be non-negative")
     if A.n != aut.n:
         raise InvalidInputError(
             f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
         )
-    succ = aut.letter(letter)
-    members = A.members
-    for _ in range(t):
-        members = np.unique(succ[members])
+    aut.letter(letter)  # range check
+    members = _image_members(aut, itertools.repeat(letter, t), A.members)
     return StateSet._from_sorted_unique(aut.n, members)
 
 

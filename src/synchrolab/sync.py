@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, Word, image, is_reset_word
+from .core import Automaton, StateSet, Word, _image_members, image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
 # Product space guards: the dense pair table is O(n^2/2) ints, the wide BFS
@@ -299,9 +299,7 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
         if res is None:
             raise NotSynchronizableError((int(cur[0]), int(cur[1])))
         _label, word = res
-        for c in word:
-            cur = aut.letter(c)[cur]
-        cur = np.unique(cur)
+        cur = _image_members(aut, word, cur)
         out.extend(word)
     return Word(out)
 

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import chain_automaton, constant_automaton, permutation_automaton
 from synchrolab import (
@@ -42,6 +44,37 @@ def test_word_rejects_bad_input():
         Word([-1])
     with pytest.raises(InvalidInputError):
         Word([26]).text  # no textual form past 'z'
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Automaton([[0.7, 1.2], [1.9, 0.1]]),
+        lambda: StateSet(5, [1.5, 3.9]),
+        lambda: StateSet(5, np.array([1.5, 3.9])),
+        lambda: StateSet(5, np.array([True, False])),
+        lambda: StateSet(5.9, [4]),
+        lambda: iterate_unary_image(constant_automaton(3), 0, 1.9, StateSet.full(3)),
+        lambda: iterate_unary_image(constant_automaton(3), 0.0, 1, StateSet.full(3)),
+        lambda: Word([1.5]),
+        lambda: apply_word(constant_automaton(3), Word([0]), 1.7),
+    ],
+    ids=["automaton", "stateset-list", "stateset-array", "stateset-mask", "stateset-n",
+         "iterate-count", "iterate-letter", "word", "apply-word-state"],
+)
+def test_non_integral_input_is_rejected_not_truncated(build):
+    with pytest.raises(InvalidInputError):
+        build()
+
+
+def test_integer_dtypes_and_empty_members_accepted():
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+        assert Automaton(np.array([[1, 0], [1, 1]], dtype=dtype)) == Automaton([[1, 0], [1, 1]])
+        assert StateSet(5, np.array([3, 1], dtype=dtype)) == StateSet(5, [1, 3])
+        assert Word(np.array([1, 0], dtype=dtype)) == Word.from_text("ba")
+        assert iterate_unary_image(chain_automaton(), 0, dtype(1), StateSet.full(3)) == StateSet(3, [1, 2])
+    assert len(StateSet(5, [])) == 0
+    assert len(StateSet(5, np.array([]))) == 0
 
 
 # ---------------------------------------------------------------------
@@ -174,6 +207,67 @@ def test_image_monotone_under_extension(rng):
         u = Word(rng.integers(0, 2, size=rng.integers(0, 10)))
         v = Word(rng.integers(0, 2, size=rng.integers(1, 10)))
         assert len(image(aut, u + v, full)) <= len(image(aut, u, full))
+
+
+@st.composite
+def automata(draw):
+    """Random automata with k = 1-3 letters on n = 1-60 states; each letter
+    is a random map, a constant map or a permutation."""
+    n = draw(st.integers(1, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "constant", "permutation"]))
+        if kind == "constant":
+            columns.append([draw(st.integers(0, n - 1))] * n)
+        elif kind == "permutation":
+            columns.append(draw(st.permutations(range(n))))
+        else:
+            columns.append(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    return Automaton(np.array(columns, dtype=np.int64).T)
+
+
+_hypothesis = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_hypothesis
+@given(st.data())
+def test_image_matches_apply_word_on_random_inputs(data):
+    aut = data.draw(automata())
+    n, k = aut.n, aut.k
+    # up to 3n letters, long enough for a unary map to reach its cycles
+    w = Word(data.draw(st.lists(st.integers(0, k - 1), max_size=3 * n)))
+    A = StateSet(n, data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    assert image(aut, w, A) == StateSet(n, {apply_word(aut, w, x) for x in A})
+    assert image(aut, Word(), A) == A
+    assert image(aut, w, StateSet(n)) == StateSet(n)
+    # after n letters c the full image is the cyclic states of c: a fixed point
+    c = data.draw(st.integers(0, k - 1))
+    settled = image(aut, Word([c] * n), StateSet.full(n))
+    assert image(aut, Word([c]), settled) == settled
+
+
+@_hypothesis
+@given(st.data())
+def test_iterate_matches_repeated_letter_image_on_any_set(data):
+    aut = data.draw(automata())
+    n = aut.n
+    c = data.draw(st.integers(0, aut.k - 1))
+    t = data.draw(st.integers(0, 2 * n))
+    A = StateSet(n, data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    assert iterate_unary_image(aut, c, t, A) == image(aut, Word([c] * t), A)
+
+
+def test_image_result_is_sorted_unique_read_only(rng):
+    for n, k in ((1, 1), (7, 2), (2000, 2), (2000, 3)):
+        aut = sample_uniform_automaton(n, k, rng)
+        A = StateSet(n, rng.integers(0, n, size=n))
+        for w in (Word(rng.integers(0, k, size=5)), Word([0] * 40)):
+            for got in (image(aut, w, A), iterate_unary_image(aut, 0, len(w), A)):
+                m = got.members
+                assert m.dtype == np.int64 and not m.flags.writeable
+                assert np.all(m[1:] > m[:-1])
+        for same in (image(aut, Word(), A), iterate_unary_image(aut, 0, 0, A)):
+            assert np.array_equal(same.members, A.members) and not same.members.flags.writeable
 
 
 def test_image_rejects_mismatched_state_space():

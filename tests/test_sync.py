@@ -224,6 +224,24 @@ def test_greedy_word_matches_reference(rng):
             assert greedy_synchronize(aut, StateSet.full(aut.n)) == expected
 
 
+def test_greedy_word_from_subsets_matches_reference(rng):
+    # two_phase_synchronize starts greedy from the phase-1 image, not from
+    # the full set; random subsets cover images of any shape
+    for trial in range(30):
+        n = int(rng.integers(2, 30))
+        aut = sample_uniform_automaton(n, 2 + trial % 2, rng)
+        starts = [StateSet(n, rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))]
+        if aut.k == 2:
+            starts.append(image(aut, phase1_word_interleaved(n), StateSet.full(n)))
+        for A in starts:
+            expected = reference_greedy(aut, A.members.tolist())
+            if expected is None:
+                with pytest.raises(NotSynchronizableError):
+                    greedy_synchronize(aut, A)
+            else:
+                assert greedy_synchronize(aut, A) == expected
+
+
 # ---------------------------------------------------------------------
 # all-pairs radius
 # ---------------------------------------------------------------------
