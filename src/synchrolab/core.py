@@ -105,6 +105,13 @@ class Word:
             return f"Word({list(self._letters)!r})"
 
 
+def _state_count(n) -> int:
+    n = _as_index(n, "state count")
+    if n < 1:
+        raise InvalidInputError("state count must be positive")
+    return n
+
+
 class StateSet:
     """Subset of [0, n), stored as a sorted unique index array.
 
@@ -114,9 +121,7 @@ class StateSet:
     __slots__ = ("_n", "_members")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
-        n = _as_index(n, "state count")
-        if n < 1:
-            raise InvalidInputError("state count must be positive")
+        n = _state_count(n)
         if not isinstance(members, np.ndarray):
             members = list(members)
         arr = np.unique(_as_int_array(members, "members"))
@@ -128,7 +133,8 @@ class StateSet:
 
     @classmethod
     def full(cls, n: int) -> "StateSet":
-        return cls._from_sorted_unique(n, np.arange(int(n), dtype=np.int64))
+        n = _state_count(n)
+        return cls._from_sorted_unique(n, np.arange(n, dtype=np.int64))
 
     @classmethod
     def _from_sorted_unique(cls, n: int, arr: np.ndarray) -> "StateSet":
@@ -152,7 +158,7 @@ class StateSet:
         return int(self._members.size)
 
     def __contains__(self, x) -> bool:
-        x = int(x)
+        x = _as_index(x, "state")
         if not 0 <= x < self._n:
             return False
         pos = int(np.searchsorted(self._members, x))

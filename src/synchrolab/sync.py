@@ -10,7 +10,6 @@ uses the upper-triangle index u*n - u*(u-1)/2 + (v-u) to halve memory.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,28 +325,28 @@ def two_phase_synchronize(aut: Automaton) -> SyncReport:
     )
 
 
-def _subset_image_tables(aut: Automaton, chunks: int) -> list[list[list[int]]]:
-    # tables[c][j][byte] = image mask of the byte placed at bit offset 8*j.
-    n = aut.n
-    tables = []
+def _subset_image_tables(aut: Automaton, chunks: int) -> np.ndarray:
+    # tables[c, j, byte] = image mask under letter c of the byte placed at
+    # bit offset 8*j.
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1  # bits[byte, i]
+    tables = np.empty((aut.k, chunks, 256), dtype=np.int64)
     for c in range(aut.k):
-        tc = aut.letter(c)
-        per_chunk = []
-        for j in range(chunks):
-            tbl = [0] * 256
-            for b in range(1, 256):
-                low = b & (-b)
-                state = 8 * j + low.bit_length() - 1
-                bit = 1 << int(tc[state]) if state < n else 0
-                tbl[b] = tbl[b ^ low] | bit
-            per_chunk.append(tbl)
-        tables.append(per_chunk)
+        state_bit = np.zeros(8 * chunks, dtype=np.int64)  # padding maps to no state
+        state_bit[: aut.n] = np.int64(1) << aut.letter(c)
+        tables[c] = np.bitwise_or.reduce(bits * state_bit.reshape(chunks, 1, 8), axis=2)
     return tables
 
 
 def exact_shortest_reset(aut: Automaton) -> Word | None:
     """A minimum-length reset word by BFS over subsets of the state set,
-    or None when no word collapses the automaton.  Guarded at 24 states."""
+    or None when no word collapses the automaton.  Guarded at 24 states.
+
+    Level-synchronous: each level is an array of subset masks in discovery
+    order, i.e. ordered by (parent position, letter).  A mask reached
+    several times keeps its first discovery, and the answer is the first
+    singleton discovered at the shallowest level, so the word is the one a
+    queue-driven BFS trying letters in order returns.
+    """
     n = aut.n
     if n > SUBSET_STATE_LIMIT:
         raise CapacityError(
@@ -355,30 +354,44 @@ def exact_shortest_reset(aut: Automaton) -> Word | None:
         )
     if n == 1:
         return Word()
-    full = (1 << n) - 1
+    k = aut.k
     chunks = (n + 7) // 8
     tables = _subset_image_tables(aut, chunks)
-    parent: dict[int, tuple[int, int] | None] = {full: None}
-    queue = deque([full])
-    while queue:
-        mask = queue.popleft()
-        for c in range(aut.k):
-            tabs = tables[c]
-            img = 0
-            rest = mask
-            for j in range(chunks):
-                img |= tabs[j][rest & 0xFF]
-                rest >>= 8
-            if img in parent:
-                continue
-            parent[img] = (mask, c)
-            if img.bit_count() == 1:
-                letters_rev = []
-                at = img
-                while parent[at] is not None:
-                    prev, letter = parent[at]
-                    letters_rev.append(letter)
-                    at = prev
-                return Word(reversed(letters_rev))
-            queue.append(img)
+    visited = np.zeros(1 << n, dtype=bool)
+    level = np.array([(1 << n) - 1], dtype=np.int64)
+    visited[level] = True
+    # Per level below the full set: each mask's candidate index
+    # position * k + letter into the level before.
+    parents = []
+    while level.size:
+        byte_ix = [(level >> (8 * j)) & 0xFF for j in range(chunks)]
+        cand = np.empty((level.size, k), dtype=np.int64)
+        for c in range(k):
+            img = tables[c, 0][byte_ix[0]]
+            for j in range(1, chunks):
+                img |= tables[c, j][byte_ix[j]]
+            cand[:, c] = img
+        cand = cand.reshape(-1)
+        index = np.flatnonzero(~visited[cand])
+        cand = cand[index]
+        single = np.flatnonzero((cand & (cand - 1)) == 0)
+        if single.size:
+            pos, letter = divmod(int(index[single[0]]), k)
+            letters_rev = [letter]
+            for step in reversed(parents):
+                pos, letter = divmod(int(step[pos]), k)
+                letters_rev.append(letter)
+            return Word(reversed(letters_rev))
+        # Keep each mask's first discovery: a stable sort puts it first
+        # among its equals, and sorting the kept positions restores
+        # discovery order.
+        order = np.argsort(cand, kind="stable")
+        ordered = cand[order]
+        first = np.empty(ordered.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        keep = np.sort(order[first])
+        level = cand[keep]
+        visited[level] = True
+        parents.append(index[keep])
     return None

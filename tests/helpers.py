@@ -1,8 +1,11 @@
-"""Small fixture automata shared across test modules."""
+"""Small fixture automata and plain-Python reference searches shared across
+test modules."""
+
+from collections import deque
 
 import numpy as np
 
-from synchrolab import Automaton
+from synchrolab import Automaton, Word
 
 
 def constant_automaton(n: int, k: int = 2) -> Automaton:
@@ -62,4 +65,60 @@ def reference_merge_search(aut: Automaton, sources, max_len=None):
         node = {pair: (key[0], word) for pair, (key, word) in reached.items()}
         visited.update(level)
         depth += 1
+    return None
+
+
+def _reference_subset_image_tables(aut: Automaton, chunks: int) -> list[list[list[int]]]:
+    # tables[c][j][byte] = image mask of the byte placed at bit offset 8*j.
+    n = aut.n
+    tables = []
+    for c in range(aut.k):
+        tc = aut.letter(c)
+        per_chunk = []
+        for j in range(chunks):
+            tbl = [0] * 256
+            for b in range(1, 256):
+                low = b & (-b)
+                state = 8 * j + low.bit_length() - 1
+                bit = 1 << int(tc[state]) if state < n else 0
+                tbl[b] = tbl[b ^ low] | bit
+            per_chunk.append(tbl)
+        tables.append(per_chunk)
+    return tables
+
+
+def reference_exact_reset(aut: Automaton) -> Word | None:
+    """Plain-Python twin of synchrolab.sync.exact_shortest_reset, without its
+    capacity guard: a queue-driven BFS over int subset masks with a parent
+    dict, trying letters in order and returning at the first new singleton.
+    """
+    n = aut.n
+    if n == 1:
+        return Word()
+    full = (1 << n) - 1
+    chunks = (n + 7) // 8
+    tables = _reference_subset_image_tables(aut, chunks)
+    parent: dict[int, tuple[int, int] | None] = {full: None}
+    queue = deque([full])
+    while queue:
+        mask = queue.popleft()
+        for c in range(aut.k):
+            tabs = tables[c]
+            img = 0
+            rest = mask
+            for j in range(chunks):
+                img |= tabs[j][rest & 0xFF]
+                rest >>= 8
+            if img in parent:
+                continue
+            parent[img] = (mask, c)
+            if img.bit_count() == 1:
+                letters_rev = []
+                at = img
+                while parent[at] is not None:
+                    prev, letter = parent[at]
+                    letters_rev.append(letter)
+                    at = prev
+                return Word(reversed(letters_rev))
+            queue.append(img)
     return None

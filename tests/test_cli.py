@@ -3,8 +3,16 @@ import math
 
 import pytest
 
-from helpers import constant_automaton, permutation_automaton
-from synchrolab import Word, cerny_automaton, is_reset_word, read_dfa, write_dfa
+from helpers import constant_automaton, permutation_automaton, reference_exact_reset
+from synchrolab import (
+    Seed,
+    Word,
+    cerny_automaton,
+    is_reset_word,
+    read_dfa,
+    sample_uniform_automaton,
+    write_dfa,
+)
 from synchrolab.cli import main
 
 
@@ -39,6 +47,16 @@ def test_exact_on_cerny_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["length"] == 9
     assert is_reset_word(cerny_automaton(4), Word.from_text(payload["word"]))
+
+
+def test_exact_at_the_state_cap(tmp_path, capsys):
+    aut = sample_uniform_automaton(24, 2, Seed(7).stream(0))
+    path = tmp_path / "random24.dfa"
+    write_dfa(aut, path)
+    code, out, _ = run_cli(capsys, "exact", "--in", str(path))
+    assert code == 0
+    word = reference_exact_reset(aut)
+    assert json.loads(out) == {"word": word.text, "length": len(word)}
 
 
 def test_exact_reports_absent_word(tmp_path, capsys):

@@ -58,13 +58,22 @@ def test_word_rejects_bad_input():
         lambda: iterate_unary_image(constant_automaton(3), 0.0, 1, StateSet.full(3)),
         lambda: Word([1.5]),
         lambda: apply_word(constant_automaton(3), Word([0]), 1.7),
+        lambda: 1.5 in StateSet(5, [1]),
+        lambda: StateSet.full(5.5),
     ],
     ids=["automaton", "stateset-list", "stateset-array", "stateset-mask", "stateset-n",
-         "iterate-count", "iterate-letter", "word", "apply-word-state"],
+         "iterate-count", "iterate-letter", "word", "apply-word-state",
+         "stateset-contains", "stateset-full-n"],
 )
 def test_non_integral_input_is_rejected_not_truncated(build):
     with pytest.raises(InvalidInputError):
         build()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_full_set_needs_a_positive_state_count(n):
+    with pytest.raises(InvalidInputError):
+        StateSet.full(n)
 
 
 def test_integer_dtypes_and_empty_members_accepted():
@@ -73,6 +82,8 @@ def test_integer_dtypes_and_empty_members_accepted():
         assert StateSet(5, np.array([3, 1], dtype=dtype)) == StateSet(5, [1, 3])
         assert Word(np.array([1, 0], dtype=dtype)) == Word.from_text("ba")
         assert iterate_unary_image(chain_automaton(), 0, dtype(1), StateSet.full(3)) == StateSet(3, [1, 2])
+        assert StateSet.full(dtype(3)) == StateSet(3, [0, 1, 2])
+        assert dtype(1) in StateSet(5, [1])
     assert len(StateSet(5, [])) == 0
     assert len(StateSet(5, np.array([]))) == 0
 

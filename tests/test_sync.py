@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import constant_automaton, permutation_automaton, reference_merge_search
+from helpers import (
+    constant_automaton,
+    permutation_automaton,
+    reference_exact_reset,
+    reference_merge_search,
+)
 from synchrolab import (
     Automaton,
     CapacityError,
     InvalidInputError,
     NotSynchronizableError,
+    Seed,
     StateSet,
     Word,
     all_pairs_merge_radius,
@@ -394,6 +400,27 @@ def test_exact_permutation_absent():
 def test_exact_capacity_guard():
     with pytest.raises(CapacityError):
         exact_shortest_reset(permutation_automaton(25))
+
+
+def test_exact_word_matches_reference(rng):
+    # the exact word, not just its length: the level-synchronous search must
+    # break ties the way the queue-driven BFS does
+    absent = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 15))
+        aut = sample_uniform_automaton(n, k, rng)
+        w = exact_shortest_reset(aut)
+        assert w == reference_exact_reset(aut)
+        absent += w is None
+    assert absent > 0  # non-synchronizable automata were covered too
+    for n in range(2, 15):
+        aut = cerny_automaton(n)
+        assert exact_shortest_reset(aut) == reference_exact_reset(aut)
+    for n in (20, 24):
+        for i in range(5):
+            aut = sample_uniform_automaton(n, 2, Seed(7).stream(i))
+            assert exact_shortest_reset(aut) == reference_exact_reset(aut)
 
 
 def test_exact_word_is_minimal_by_enumeration(rng):
