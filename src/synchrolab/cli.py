@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (InvalidInputError, FileNotFoundError) as exc:
+    except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -732,23 +732,3 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Summ
         write_records_csv(records, out / f"{config.experiment}.csv")
         write_summary_json(stats, out / f"{config.experiment}_summary.json")
     return stats
-
-
-def _runner_for(name: str):
-    def run(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
-        if config.experiment != name:
-            raise InvalidInputError(
-                f"config names experiment {config.experiment!r}, expected {name!r}"
-            )
-        return run_experiment(config, workers)
-
-    return run
-
-
-run_unary_image = _runner_for("unary-image")
-run_interleaved_image = _runner_for("interleaved-image")
-run_pair_radius = _runner_for("pair-radius")
-run_two_phase = _runner_for("two-phase")
-run_extinction_bound = _runner_for("extinction-bound")
-run_uniform_maximizer = _runner_for("uniform-maximizer")
-run_reset_length = _runner_for("reset-length")

@@ -2,9 +2,9 @@
 product-space BFS, greedy full synchronization, and the exact shortest-reset
 oracle over the power set.
 
-Unordered state pairs {u, v} are kept canonical with u <= v.  The wide
-searches encode a pair as the int64 u * n + v; the dense all-pairs table
-uses the upper-triangle index u*n - u*(u-1)/2 + (v-u) to halve memory.
+A pair of states (u, v) is encoded as u * n + v everywhere.  The wide
+searches keep unordered pairs canonical with u < v, as int64 codes; the
+all-pairs radius runs over all n^2 ordered pairs, as int32 codes.
 """
 
 from __future__ import annotations
@@ -17,16 +17,15 @@ import numpy as np
 from .core import Automaton, StateSet, Word, _image_members, image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
-# Product space guards: the dense pair table is O(n^2/2) ints, the wide BFS
-# keeps every visited pair code in memory.
+# Product space guards: the all-pairs radius holds k int32 successor codes
+# and four boolean masks per ordered pair, about (4k + 4) n^2 bytes, and its
+# limit keeps those codes below 2^31; the wide BFS keeps every visited pair
+# code in memory.
 RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
 
 # Power-set search guard.
 SUBSET_STATE_LIMIT = 24
-
-_DIST_INF = np.int32(2**30)
-_SWEEP_CHUNK = 1 << 24
 
 
 def phase1_word_unary(n: int) -> Word:
@@ -218,55 +217,41 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
     return PairDistanceResult(len(word), word)
 
 
-def _pair_distance_table(aut: Automaton) -> tuple[np.ndarray, np.ndarray]:
-    """Distance-to-diagonal of every canonical pair, by repeated relaxation.
+def all_pairs_merge_radius(aut: Automaton) -> int | float:
+    """Maximum over pairs of the shortest merge length, or math.inf when
+    some pair can never merge.
 
-    dist starts at 0 on the diagonal and sweeps dist[p] = min over letters of
-    dist[succ(p)] + 1 until the fixpoint; each sweep settles one more BFS
-    layer of the reversed product graph.  Returns (dist, row_offsets).
+    Level BFS outward from the diagonal over the ordered pairs u * n + v:
+    an unseen pair joins level d + 1 when some letter sends it into level d.
     """
     n = aut.n
+    if n < 2:
+        raise InvalidInputError("need at least two states")
     if n > RADIUS_STATE_LIMIT:
         raise CapacityError(
             f"all-pairs table is capped at {RADIUS_STATE_LIMIT} states, got {n}"
         )
-    m = n * (n + 1) // 2
-    offsets = np.arange(n + 1, dtype=np.int64)
-    offsets = offsets * n - offsets * (offsets - 1) // 2
-    succ = [np.empty(m, dtype=np.int32) for _ in range(aut.k)]
+    succ = []
     for c in range(aut.k):
-        tc = aut.letter(c)
-        out = succ[c]
-        for u in range(n):
-            s, e = int(offsets[u]), int(offsets[u + 1])
-            au = int(tc[u])
-            av = tc[u:]
-            lo = np.minimum(au, av).astype(np.int64)
-            hi = np.maximum(au, av)
-            out[s:e] = lo * n - lo * (lo - 1) // 2 + (hi - lo)
-
-    dist = np.full(m, _DIST_INF, dtype=np.int32)
-    dist[offsets[:n]] = 0  # diagonal pairs (u, u)
-    while True:
-        new = dist.copy()
-        for c in range(aut.k):
-            sc = succ[c]
-            for lo_ix in range(0, m, _SWEEP_CHUNK):
-                sl = slice(lo_ix, min(lo_ix + _SWEEP_CHUNK, m))
-                np.minimum(new[sl], dist[sc[sl]] + np.int32(1), out=new[sl])
-        if np.array_equal(new, dist):
-            return dist, offsets
-        dist = new
-
-
-def all_pairs_merge_radius(aut: Automaton) -> int | float:
-    """Maximum over unordered pairs of the shortest merge length, or math.inf
-    when some pair can never merge."""
-    if aut.n < 2:
-        raise InvalidInputError("need at least two states")
-    dist, _offsets = _pair_distance_table(aut)
-    worst = int(dist.max())
-    return math.inf if worst >= int(_DIST_INF) else worst
+        t = aut.letter(c).astype(np.int32)
+        succ.append((t[:, None] * n + t).ravel())
+    frontier = np.eye(n, dtype=bool).ravel()
+    seen = frontier.copy()
+    unseen = n * n - n
+    radius = 0
+    while unseen:
+        hit = frontier[succ[0]]
+        for sc in succ[1:]:
+            hit |= frontier[sc]
+        hit &= ~seen
+        found = int(np.count_nonzero(hit))
+        if not found:
+            return math.inf
+        seen |= hit
+        unseen -= found
+        frontier = hit
+        radius += 1
+    return radius
 
 
 def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:

@@ -40,11 +40,7 @@ from synchrolab.experiments import (
     TWO_PHASE_SUCCESS_MIN,
     UNARY_RATIO_BAND,
     ExperimentConfig,
-    run_extinction_bound,
-    run_interleaved_image,
-    run_pair_radius,
-    run_two_phase,
-    run_unary_image,
+    run_experiment,
 )
 
 MASTER_SEED = 20260810
@@ -57,7 +53,7 @@ def report(name: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_unary_image_ratio_band():
     t0 = time.perf_counter()
-    stats = run_unary_image(
+    stats = run_experiment(
         ExperimentConfig(
             experiment="unary-image", n_list=[10_000, 100_000], trials=30,
             seed=MASTER_SEED,
@@ -77,7 +73,7 @@ def test_criterion_1_unary_image_ratio_band():
 
 def test_criterion_2_interleaved_image_paired_comparison():
     t0 = time.perf_counter()
-    stats = run_interleaved_image(
+    stats = run_experiment(
         ExperimentConfig(
             experiment="interleaved-image", n_list=[10_000, 100_000], trials=30,
             seed=MASTER_SEED,
@@ -100,14 +96,14 @@ def test_criterion_2_interleaved_image_paired_comparison():
 
 def test_criterion_3_pair_radius_band_and_exhaustive_n2():
     t0 = time.perf_counter()
-    stats = run_pair_radius(
+    stats = run_experiment(
         ExperimentConfig(
             experiment="pair-radius", n_list=[1024], trials=30, seed=MASTER_SEED,
         )
     )
     frac = stats.derived[1024]["fraction_within_bound"]
 
-    # exhaustive n=2 check: the table-based radius equals the forward-search
+    # exhaustive n=2 check: the all-pairs radius equals the forward-search
     # maximum on every one of the 16 two-state automata
     agree = True
     for entries in itertools.product(range(2), repeat=4):
@@ -128,7 +124,7 @@ def test_criterion_3_pair_radius_band_and_exhaustive_n2():
 
 def test_criterion_4_two_phase_scaling():
     t0 = time.perf_counter()
-    stats = run_two_phase(
+    stats = run_experiment(
         ExperimentConfig(
             experiment="two-phase", n_list=[1_000, 10_000, 100_000],
             trials=[30, 30, 10], seed=MASTER_SEED,
@@ -207,7 +203,7 @@ def test_criterion_6_exact_expectation_formula():
 
 def test_criterion_7_extinction_bound_grid():
     t0 = time.perf_counter()
-    stats = run_extinction_bound(
+    stats = run_experiment(
         ExperimentConfig(
             experiment="extinction-bound", n_list=[8, 12, 16], trials=10_000,
             seed=MASTER_SEED,
@@ -215,7 +211,7 @@ def test_criterion_7_extinction_bound_grid():
     )
     violations = stats.overall["violations"]
 
-    exact_point = run_extinction_bound(
+    exact_point = run_experiment(
         ExperimentConfig(
             experiment="extinction-bound", n_list=[2], trials=10_000,
             seed=MASTER_SEED,

@@ -179,8 +179,19 @@ def test_cerny_subcommand(tmp_path, capsys):
     assert read_dfa(path) == cerny_automaton(5)
 
 
-def test_missing_file_is_invalid_input(capsys):
-    assert run_cli(capsys, "exact", "--in", "does-not-exist.dfa")[0] == 1
+def test_missing_file_is_invalid_input(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.dfa"
+    latin1.write_bytes(b"dfa v1 1 1\n0 \xe9\n")
+    for argv in (
+        ("exact", "--in", "does-not-exist.dfa"),
+        ("sync", "--in", str(tmp_path)),
+        ("experiment", "--config", str(tmp_path)),
+        ("gen", "--n", "5", "--out", str(tmp_path)),
+        ("sync", "--in", str(latin1)),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("invalid input:"), argv
 
 
 def test_usage_errors_exit_1(capsys):

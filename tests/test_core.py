@@ -369,6 +369,7 @@ def test_dfa_round_trip_via_streams():
         "dfa v1 2 2\n0 0 0\n0 0\n",  # extra entry
         "dfa v1 2 2\n0 2\n0 0\n",  # target out of range
         "dfa v1 2 2\n0 x\n0 0\n",  # non-integer
+        "dfa v1 2 2\n1 99999999999999999999\n0 0\n",  # past int64
     ],
 )
 def test_dfa_parse_errors(text):

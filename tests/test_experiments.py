@@ -18,13 +18,6 @@ from synchrolab.experiments import (
     measure_two_phase,
     measure_unary_image,
     run_experiment,
-    run_extinction_bound,
-    run_interleaved_image,
-    run_pair_radius,
-    run_reset_length,
-    run_two_phase,
-    run_unary_image,
-    run_uniform_maximizer,
     summarize,
     write_records_csv,
 )
@@ -148,8 +141,8 @@ def test_measure_reset_length_fixtures():
 # ---------------------------------------------------------------------
 def test_run_unary_image_deterministic_and_bounded(tmp_path):
     cfg = dict(experiment="unary-image", n_list=[100, 200], trials=4, seed=11)
-    first = run_unary_image(ExperimentConfig(out=str(tmp_path / "a"), **cfg))
-    second = run_unary_image(ExperimentConfig(out=str(tmp_path / "b"), **cfg))
+    first = run_experiment(ExperimentConfig(out=str(tmp_path / "a"), **cfg))
+    second = run_experiment(ExperimentConfig(out=str(tmp_path / "b"), **cfg))
     assert first.per_n == second.per_n
     # the cyclic states survive any number of unary steps
     for n in (100, 200):
@@ -171,9 +164,9 @@ def test_run_unary_image_deterministic_and_bounded(tmp_path):
 def test_run_unary_image_worker_count_does_not_change_results(tmp_path, monkeypatch):
     cfg = dict(experiment="unary-image", n_list=[64], trials=6, seed=3)
     monkeypatch.setenv("SYNCHROLAB_THREADS", "1")
-    serial = run_unary_image(ExperimentConfig(**cfg))
+    serial = run_experiment(ExperimentConfig(**cfg))
     monkeypatch.setenv("SYNCHROLAB_THREADS", "2")
-    parallel = run_unary_image(ExperimentConfig(**cfg))
+    parallel = run_experiment(ExperimentConfig(**cfg))
     assert serial.per_n == parallel.per_n
 
 
@@ -207,7 +200,7 @@ def test_worker_count_does_not_change_artifacts(name, tmp_path, monkeypatch):
 
 
 def test_run_interleaved_image_small():
-    stats = run_interleaved_image(
+    stats = run_experiment(
         ExperimentConfig(experiment="interleaved-image", n_list=[256, 512], trials=6, seed=5)
     )
     for n in (256, 512):
@@ -216,7 +209,7 @@ def test_run_interleaved_image_small():
 
 
 def test_run_pair_radius_small():
-    stats = run_pair_radius(
+    stats = run_experiment(
         ExperimentConfig(experiment="pair-radius", n_list=[64], trials=5, seed=1)
     )
     assert stats.derived[64]["radius_bound"] == pytest.approx(3 * math.log2(64))
@@ -224,7 +217,7 @@ def test_run_pair_radius_small():
 
 
 def test_run_two_phase_small():
-    stats = run_two_phase(
+    stats = run_experiment(
         ExperimentConfig(experiment="two-phase", n_list=[50, 100], trials=5, seed=2)
     )
     for n in (50, 100):
@@ -236,7 +229,7 @@ def test_run_two_phase_small():
 
 def test_run_two_phase_length_scale_example():
     # typical total lengths stay well under 10 * sqrt(n log2 n)
-    stats = run_two_phase(
+    stats = run_experiment(
         ExperimentConfig(experiment="two-phase", n_list=[1000], trials=10, seed=4)
     )
     bound = 10.0 * math.sqrt(1000 * math.log2(1000))
@@ -245,7 +238,7 @@ def test_run_two_phase_length_scale_example():
 
 
 def test_run_extinction_bound_small():
-    stats = run_extinction_bound(
+    stats = run_experiment(
         ExperimentConfig(
             experiment="extinction-bound", n_list=[8], trials=2000, seed=6,
             overrides={"ell_values": [1, 2], "k_values": [0, 1, 2]},
@@ -260,7 +253,7 @@ def test_run_extinction_bound_small():
 
 def test_run_extinction_bound_rejects_bad_override():
     with pytest.raises(InvalidInputError):
-        run_extinction_bound(
+        run_experiment(
             ExperimentConfig(
                 experiment="extinction-bound", n_list=[8], trials=10, seed=0,
                 overrides={"prob_vector": "nope"},
@@ -269,7 +262,7 @@ def test_run_extinction_bound_rejects_bad_override():
 
 
 def test_run_uniform_maximizer_small():
-    stats = run_uniform_maximizer(
+    stats = run_experiment(
         ExperimentConfig(experiment="uniform-maximizer", n_list=[2, 3], trials=50, seed=8)
     )
     assert stats.derived[2]["uniform_value"] == pytest.approx(1.5, abs=1e-12)
@@ -278,7 +271,7 @@ def test_run_uniform_maximizer_small():
 
 
 def test_run_reset_length_min_length_at_n12():
-    stats = run_reset_length(
+    stats = run_experiment(
         ExperimentConfig(experiment="reset-length", n_list=[12], trials=200, seed=9)
     )
     # a length-1 reset would need a constant letter: vanishing probability
@@ -292,8 +285,6 @@ def test_run_experiment_dispatch(tmp_path):
     )
     stats = run_experiment(cfg)
     assert stats.experiment == "uniform-maximizer"
-    with pytest.raises(InvalidInputError):
-        run_two_phase(cfg)
     assert (tmp_path / "uniform-maximizer.csv").exists()
     assert (tmp_path / "uniform-maximizer_summary.json").exists()
 

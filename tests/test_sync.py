@@ -268,15 +268,23 @@ def test_radius_capacity_guard():
 
 
 def test_radius_equals_forward_search_maximum(rng):
-    for _ in range(15):
-        n = int(rng.integers(2, 65))
-        aut = sample_uniform_automaton(n, 2, rng)
+    cases = []
+    for k in (1, 2, 3):
+        for _ in range(5):
+            cases.append((sample_uniform_automaton(int(rng.integers(2, 65)), k, rng), False))
+        for _ in range(2):
+            # Two components: no pair across them ever merges.
+            a, b = (sample_uniform_automaton(int(rng.integers(1, 25)), k, rng) for _ in range(2))
+            cases.append((Automaton(np.vstack([a.table, b.table + a.n])), True))
+    for aut, disjoint in cases:
         radius = all_pairs_merge_radius(aut)
         worst = 0
-        for x in range(n):
-            for y in range(x + 1, n):
+        for x in range(aut.n):
+            for y in range(x + 1, aut.n):
                 worst = max(worst, pair_shortest_merge(aut, x, y, max_len=math.inf).distance)
         assert radius == worst
+        if disjoint:
+            assert radius == math.inf
 
 
 # ---------------------------------------------------------------------
