@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet
+from .core import Automaton, StateSet, _sorted_unique
 from .errors import CapacityError, InvalidInputError
 
 PROB_SUM_TOL = 1e-12
@@ -231,7 +231,7 @@ def cyclic_states(g: FunctionalGraph) -> StateSet:
     f = g.succ
     for _ in range((g.n - 1).bit_length()):
         f = f[f]
-    return StateSet._from_sorted_unique(g.n, np.unique(f))
+    return StateSet._from_sorted_unique(g.n, _sorted_unique(f))
 
 
 def survival_probability(n: int, t: int) -> float:
@@ -309,7 +309,7 @@ def distance_to_set(g: FunctionalGraph, targets) -> dict[int, int]:
             )
         members = targets.members
     else:
-        members = np.unique(np.asarray(list(targets), dtype=np.int64))
+        members = _sorted_unique(np.asarray(list(targets), dtype=np.int64))
         if members.size and (members[0] < 0 or members[-1] >= g.n):
             raise InvalidInputError(f"targets must lie in [0, {g.n})")
     if members.size == 0:

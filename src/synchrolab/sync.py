@@ -5,6 +5,12 @@ oracle over the power set.
 A pair of states (u, v) is encoded as u * n + v everywhere.  The wide
 searches keep unordered pairs canonical with u < v, as int64 codes; the
 all-pairs radius runs over all n^2 ordered pairs, as int32 codes.
+
+Greedy shares one merge ball between its rounds: the canonical pairs within
+r letters of the diagonal, found once by a reverse level BFS over the
+letters' preimages.  A round's forward search then stops r levels short of
+the diagonal and finishes its word inside the ball, with the word of the
+search without a ball (r = 0).
 """
 
 from __future__ import annotations
@@ -14,15 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, Word, _image_members, image, is_reset_word
+from .core import Automaton, StateSet, Word, _image_members, _sorted_unique, image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
 # Product space guards: the all-pairs radius holds k int32 successor codes
 # and four boolean masks per ordered pair, about (4k + 4) n^2 bytes, and its
 # limit keeps those codes below 2^31; the wide BFS keeps every visited pair
-# code in memory.
+# code in memory.  Greedy's merge ball holds at most _BALL_CODES * n codes
+# (r = 3 for two letters, about 7n codes) at 13 to 17 bytes each: the
+# int64 code, the int8 distance and 4 to 8 lookup flags.
 RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
+_BALL_CODES = 8
+
+# Greedy builds its merge ball once its searches have visited
+# _BALL_AFTER_VISITS * n pairs, about what the build costs, and on average
+# _BALL_MIN_SEARCH pairs per search: smaller searches spend their time in
+# per-level overhead that the ball does not save.
+_BALL_AFTER_VISITS = 4
+_BALL_MIN_SEARCH = 4096
 
 # Power-set search guard.
 SUBSET_STATE_LIMIT = 24
@@ -107,19 +123,204 @@ def _reconstruct_word(steps, pos: int, final_letter: int) -> Word:
     return Word(reversed(letters_rev))
 
 
-def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT):
+def _canonical_children(letter_maps, codes: np.ndarray, n: int):
+    """Canonical codes of every pair's image, letter by letter, and whether
+    that image is on the diagonal: entry c * codes.size + i is for the
+    image of codes[i] under letter c."""
+    u, v = np.divmod(codes, n)
+    out = np.empty(len(letter_maps) * codes.size, dtype=np.int64)
+    diagonal = np.empty(out.size, dtype=bool)
+    for c, tc in enumerate(letter_maps):
+        a = tc[u]
+        b = tc[v]
+        part = slice(c * codes.size, (c + 1) * codes.size)
+        np.equal(a, b, out=diagonal[part])
+        np.minimum(a, b, out=out[part])
+        out[part] *= n
+        out[part] += np.maximum(a, b)
+    return out, diagonal
+
+
+class _MergeBall:
+    """The pairs within `radius` letters of the diagonal: their canonical
+    codes u * n + v (u < v), sorted, with each pair's merge distance.
+
+    Radius 0 is no ball: the search then finds merges by trying letters.
+    A ball of positive radius with no codes means no pair merges at all.
+    A table of 4 to 8 flags per code, indexed by a multiplicative hash of
+    the code, rules most codes out of a lookup before the binary search.
+    """
+
+    _HASH = np.uint64(0x9E3779B97F4A7C15)  # about 2^64 / golden ratio
+
+    def __init__(self, codes: np.ndarray, dist: np.ndarray, radius: int):
+        self.codes = codes
+        self.dist = dist
+        self.radius = radius
+        bits = max(int(4 * codes.size).bit_length(), 1)
+        self._shift = np.uint64(64 - bits)
+        self._marked = np.zeros(1 << bits, dtype=bool)
+        self._marked[self._slot(codes)] = True
+
+    def _slot(self, codes: np.ndarray) -> np.ndarray:
+        slot = codes.view(np.uint64) * self._HASH
+        slot >>= self._shift
+        return slot.view(np.int64)
+
+    def distance(self, codes: np.ndarray) -> np.ndarray:
+        """Merge distance of each code, 0 for codes outside the ball."""
+        dist = np.zeros(codes.size, dtype=np.int8)
+        maybe = np.flatnonzero(self._marked[self._slot(codes)])
+        if maybe.size:
+            codes = codes[maybe]
+            pos = np.searchsorted(self.codes, codes)
+            pos[pos == self.codes.size] = 0
+            found = self.codes[pos] == codes
+            dist[maybe[found]] = self.dist[pos[found]]
+        return dist
+
+
+_NO_BALL = _MergeBall(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 0)
+
+
+def _spawned_codes(order, sx, cx, sy, cy, n: int) -> np.ndarray:
+    """Canonical codes of the pairs {order[sx[i] + a], order[sy[i] + b]},
+    a < cx[i] (cx may be one count for every i) and b < cy[i], over every
+    i; the two runs of an i never overlap, so no pair is on the diagonal."""
+    m = cx * cy
+    i = np.flatnonzero(m)
+    m = m[i]
+    a = np.arange(int(m.sum()), dtype=np.int64)
+    a -= np.repeat(np.cumsum(m) - m, m)
+    a, b = np.divmod(a, np.repeat(cy[i], m))
+    a += np.repeat(sx[i], m)
+    b += np.repeat(sy[i], m)
+    a = order[a]
+    b = order[b]
+    codes = np.minimum(a, b)
+    codes *= n
+    np.maximum(a, b, out=b)
+    codes += b
+    return codes
+
+
+def _merge_ball(aut: Automaton, radius: int = np.iinfo(np.int8).max, max_codes=None) -> _MergeBall:
+    """The merge ball of the given radius, by a level BFS from the diagonal.
+
+    Level d holds the pairs not in an earlier level that some letter sends
+    into level d - 1, level 0 being the diagonal: level 1 pairs the states
+    of one preimage set, and a pair (x, y) of level d spawns every pair of
+    one preimage of x and one of y.  A letter's preimage sets are the runs
+    of one argsort of its successor array.  The BFS stops after `radius`
+    levels or at an empty level, and also before a level whose candidate
+    pairs would take the ball past max_codes codes; the radius is then the
+    last level built.  Each level's candidates are made one letter at a
+    time and merged into the ball at once, so the peak is about twice the
+    ball plus one level's candidates.
+    """
+    n = aut.n
+    if n >= 1 << 28:  # code << 7 must fit in int64
+        return _NO_BALL
+    letters = []  # order, and each state's preimages order[start:start + count]
+    for c in range(aut.k):
+        t = aut.letter(c)
+        count = np.bincount(t, minlength=n)
+        start = np.zeros(n, dtype=np.int64)
+        np.cumsum(count[:-1], out=start[1:])
+        letters.append((np.argsort(t), start, count))
+    # The ball so far as sorted keys code << 7 | distance: sorting the keys
+    # with a level's candidates keeps each code's first, nearest key.
+    keys = np.empty(0, dtype=np.int64)
+    x = y = None  # the pairs (x, y) of the last level; None: the diagonal
+    for d in range(1, radius + 1):
+        if x is None:
+            spawns = sum(int((count * (count - 1) // 2).sum()) for _order, _start, count in letters)
+        else:
+            spawns = sum(int((count[x] * count[y]).sum()) for _order, _start, count in letters)
+        if max_codes is not None and keys.size + spawns > max_codes:
+            radius = d - 1
+            break
+        parts = [keys]
+        for order, start, count in letters:
+            if x is None:
+                # Position p of order pairs with the rest of its preimage set.
+                p = np.arange(n, dtype=np.int64)
+                ends = np.repeat(start + count, count)
+                part = _spawned_codes(order, p, 1, p + 1, ends - p - 1, n)
+            else:
+                part = _spawned_codes(order, start[x], count[x], start[y], count[y], n)
+            part <<= 7
+            part |= d
+            parts.append(part)
+        keys = np.concatenate(parts)
+        del parts, part
+        keys = _sorted_unique(keys, low_bits=7)
+        x, y = np.divmod(keys[keys & 0x7F == d] >> 7, n)
+        if not x.size:
+            break
+    x = y = None
+    dist = keys.astype(np.int8)
+    dist &= 0x7F
+    keys >>= 7
+    return _MergeBall(keys, dist, radius)
+
+
+def _descend(letter_maps, n: int, ball: _MergeBall, codes: np.ndarray, at: np.ndarray, length: int):
+    """The rest of a merge word from the nodes codes[at], which all merge in
+    `length` letters: each step keeps the children one letter closer to the
+    diagonal, a child reached twice keeping its least (letter, parent code).
+    Returns the steps in _merge_search's format, the final letter (the least
+    (letter, code) that merges) and its node's position in the last step.
+    """
+    steps = []
+    width = codes.size
+    cur = codes[at]
+    for remaining in range(length - 1, 0, -1):
+        cand, _diagonal = _canonical_children(letter_maps, cur, n)
+        index = (np.arange(len(letter_maps), dtype=np.int64)[:, None] * width + at).ravel()
+        keep = ball.distance(cand) == remaining
+        cand = cand[keep]
+        index = index[keep]
+        order = np.argsort(cand, kind="stable")
+        cand = cand[order]
+        first = np.empty(cand.size, dtype=bool)
+        first[0] = True
+        np.not_equal(cand[1:], cand[:-1], out=first[1:])
+        cur = cand[first]
+        steps.append((index[order][first], width))
+        width = cur.size
+        at = np.arange(width)
+    # The first diagonal child has the least index letter * width + position.
+    letter, pos = divmod(int(np.flatnonzero(_canonical_children(letter_maps, cur, n)[1])[0]), cur.size)
+    return steps, letter, int(at[pos])
+
+
+def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
+                  ball=_NO_BALL, visits=None):
     """Level-synchronous BFS over unordered pairs from many sources at once.
 
     src_x/src_y are canonical (x < y) pairs in lexicographic order; each BFS
     node carries the smallest source index that reaches it in the minimal
-    number of steps, so the first diagonal hit identifies a closest source
-    deterministically (ties broken by source index, then letter, then
-    frontier position).  Returns (source_index, word) or None when no source
-    can merge within max_len letters (None = search to exhaustion).
+    number of steps, so a closest source is found deterministically (ties
+    broken by source index, then letter, then frontier position).  Returns
+    (source_index, word) or None when no source can merge within max_len
+    letters (None = search to exhaustion).  A list given as `visits` gets
+    the number of pairs visited appended when a merge is found.
+
+    With a merge ball of radius r the BFS stops at the first level L with
+    a node in the ball: the closest sources merge in D = L + (least ball
+    distance there) letters, and the word continues inside the ball from
+    the nodes of the smallest such source label.  Every node on a shortest
+    merging path of that source is first reached at its level with its
+    label, so the word is the one the search without a ball returns; that
+    search is the case r = 0, where a node is known to be at distance 1
+    once some letter merges it.
     """
     n = aut.n
     k = aut.k
     letter_maps = [aut.letter(c) for c in range(k)]
+    if ball.radius and not ball.codes.size:
+        return None
     codes = src_x.astype(np.int64) * n + src_y.astype(np.int64)
     labels = np.arange(codes.size, dtype=np.int64)
     # Per level below the sources: each node's candidate index
@@ -127,30 +328,26 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT)
     steps = []
     visited = codes
     while codes.size:
-        if max_len is not None and len(steps) + 1 > max_len:
-            return None
-        width = codes.size
-        u, v = np.divmod(codes, n)
-        best = None  # (source label, letter, frontier position)
-        cand_codes = np.empty(k * width, dtype=np.int64)
-        for c, tc in enumerate(letter_maps):
-            a = tc[u]
-            b = tc[v]
-            merged = a == b
-            if merged.any():
-                pos = np.flatnonzero(merged)
-                lab = labels[pos]
-                i = int(np.argmin(lab))  # first minimum = smallest position
-                cand = (int(lab[i]), c, int(pos[i]))
-                if best is None or cand < best:
-                    best = cand
-            out = cand_codes[c * width:(c + 1) * width]
-            np.minimum(a, b, out=out)
-            out *= n
-            out += np.maximum(a, b)
-        if best is not None:
-            label, letter, pos = best
-            return label, _reconstruct_word(steps, pos, letter)
+        # near[i] > 0: node i merges in exactly near[i] letters.
+        near = ball.distance(codes) if ball.radius else None
+        if near is None or not near.any():
+            if max_len is not None and len(steps) + ball.radius + 1 > max_len:
+                return None
+            cand_codes, diagonal = _canonical_children(letter_maps, codes, n)
+            # A pair with a child on the diagonal merges in one letter.
+            near = diagonal.reshape(k, -1).any(axis=0) if diagonal.any() else None
+        if near is not None:
+            hit = np.flatnonzero(near)
+            length = near[hit].astype(np.int64)
+            best = length.min()
+            if max_len is not None and len(steps) + best > max_len:
+                return None
+            hit = hit[length == best]
+            label = labels[hit].min()
+            more, letter, pos = _descend(letter_maps, n, ball, codes, hit[labels[hit] == label], int(best))
+            if visits is not None:
+                visits.append(visited.size)
+            return int(label), _reconstruct_word(steps + more, pos, letter)
 
         # One entry per code, keeping the smallest (label, candidate index);
         # the index letter * width + parent orders ties by (letter, parent),
@@ -177,6 +374,7 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT)
             raise CapacityError(
                 f"pair search visited more than {visit_limit} pairs"
             )
+        width = labels.size
         keys = keys[fresh]
         labels = keys >> shift
         steps.append((keys & ((1 << shift) - 1), width))
@@ -259,8 +457,10 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
 
     Each round runs one multi-source pair BFS with every pair of the current
     image as a source, appends the winning merge word, and applies it to the
-    whole set.  Raises NotSynchronizableError naming a stuck pair when no
-    pair of the surviving image can merge.
+    whole set.  Once the searches have visited enough pairs, the rounds
+    share one merge ball, which shortens each search without changing its
+    word.  Raises NotSynchronizableError naming a stuck pair when no pair
+    of the surviving image can merge.
     """
     if A.n != aut.n:
         raise InvalidInputError(
@@ -270,6 +470,7 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
         raise InvalidInputError("cannot synchronize an empty state set")
     cur = A.members
     out: list[int] = []
+    ball, visits = _NO_BALL, []
     while cur.size > 1:
         npairs = cur.size * (cur.size - 1) // 2
         if npairs > PAIR_VISIT_LIMIT:
@@ -278,8 +479,10 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
             if all(np.bincount(aut.letter(c), minlength=aut.n).max() == 1 for c in range(aut.k)):
                 raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             raise CapacityError(f"{npairs} candidate pairs exceed the search budget")
+        if ball is _NO_BALL and sum(visits) >= max(_BALL_AFTER_VISITS * aut.n, _BALL_MIN_SEARCH * len(visits)):
+            ball = _merge_ball(aut, max_codes=_BALL_CODES * aut.n)
         i, j = np.triu_indices(cur.size, k=1)
-        res = _merge_search(aut, cur[i], cur[j])
+        res = _merge_search(aut, cur[i], cur[j], ball=ball, visits=visits)
         if res is None:
             raise NotSynchronizableError((int(cur[0]), int(cur[1])))
         _label, word = res

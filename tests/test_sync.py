@@ -249,6 +249,125 @@ def test_greedy_word_from_subsets_matches_reference(rng):
 
 
 # ---------------------------------------------------------------------
+# merge ball: the pairs within r letters of the diagonal
+# ---------------------------------------------------------------------
+def merge_distances(aut):
+    """{code: distance} of every pair u < v that merges, by forward search."""
+    dist = {}
+    for x in range(aut.n):
+        for y in range(x + 1, aut.n):
+            d = pair_shortest_merge(aut, x, y, max_len=math.inf).distance
+            if d < math.inf:
+                dist[x * aut.n + y] = d
+    return dist
+
+
+def within(dist, r):
+    return {code: d for code, d in dist.items() if d <= r}
+
+
+def test_merge_ball_holds_the_pairs_within_its_radius(rng):
+    from synchrolab.sync import _merge_ball
+
+    for trial in range(36):
+        aut = sample_uniform_automaton(int(rng.integers(2, 41)), 1 + trial % 3, rng)
+        dist = merge_distances(aut)
+        for r in range(1, 6):
+            ball = _merge_ball(aut, r)
+            assert ball.radius == r
+            assert ball.codes.dtype == np.int64 and ball.dist.dtype == np.int8
+            assert np.all(np.diff(ball.codes) > 0)
+            assert dict(zip(ball.codes.tolist(), ball.dist.tolist())) == within(dist, r)
+            lookup = ball.distance(np.arange(aut.n * aut.n, dtype=np.int64))
+            assert {int(c): int(lookup[c]) for c in np.flatnonzero(lookup)} == within(dist, r)
+
+
+def test_merge_ball_code_cap_lowers_the_radius(rng):
+    from synchrolab.sync import _merge_ball
+
+    for _ in range(20):
+        aut = sample_uniform_automaton(int(rng.integers(2, 41)), 2, rng)
+        cap = int(rng.integers(0, 3 * aut.n))
+        ball = _merge_ball(aut, 5, max_codes=cap)
+        assert ball.codes.size <= cap
+        assert dict(zip(ball.codes.tolist(), ball.dist.tolist())) == within(merge_distances(aut), ball.radius)
+    # every pair of a constant automaton merges in one letter: n(n-1)/2
+    # codes, found once per letter
+    assert _merge_ball(constant_automaton(9), 3, max_codes=72).codes.size == 36
+    ball = _merge_ball(constant_automaton(9), 3, max_codes=71)
+    assert ball.radius == 0 and ball.codes.size == 0
+
+
+def test_merge_ball_of_permutation_automaton_is_empty(monkeypatch):
+    from synchrolab import sync
+
+    ball = sync._merge_ball(permutation_automaton(12, 3), 4)
+    assert ball.radius == 4 and ball.codes.size == 0
+    src = np.array([0, 2]), np.array([5, 7])
+    assert sync._merge_search(permutation_automaton(12, 3), *src, ball=ball) is None
+    # greedy with a ball from its first round still names the stuck pair
+    monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
+    with pytest.raises(NotSynchronizableError) as exc:
+        greedy_synchronize(permutation_automaton(12, 3), StateSet(12, [3, 5, 9]))
+    assert exc.value.pair == (3, 5)
+
+
+def tie_heavy_automaton(rng, n):
+    """Three letters: a random map, a map into a third of the states, and a
+    copy of the first letter, so equal-length merges are common."""
+    a = rng.integers(0, n, n)
+    b = rng.integers(0, max(1, n // 3), n)
+    return Automaton(np.stack([a, b, a], axis=1))
+
+
+def test_merge_search_with_ball_matches_reference(rng):
+    # the exact (label, word) for every radius, source set and cut-off
+    from synchrolab.sync import _merge_ball, _merge_search
+
+    for trial in range(60):
+        n = int(rng.integers(3, 36))
+        if trial % 3 == 0:
+            aut = tie_heavy_automaton(rng, n)
+        elif trial % 3 == 1:
+            aut = two_component_automaton(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)), 3)
+        else:
+            aut = sample_uniform_automaton(n, 2, rng)
+        pairs = list(itertools.combinations(range(aut.n), 2))
+        count = int(rng.integers(1, min(len(pairs), 20) + 1))
+        sources = [pairs[i] for i in np.sort(rng.choice(len(pairs), size=count, replace=False))]
+        src = np.array(sources, dtype=np.int64)
+        for r in range(5):
+            ball = _merge_ball(aut, r)
+            for max_len in (None, 1, 2, 3, 5):
+                expected = reference_merge_search(aut, sources, max_len)
+                res = _merge_search(aut, src[:, 0], src[:, 1], max_len=max_len, ball=ball)
+                if expected is None:
+                    assert res is None
+                else:
+                    assert res == (expected[0], Word(expected[1]))
+
+
+def test_greedy_builds_a_ball_and_keeps_the_reference_word(monkeypatch):
+    # at n = 4000 the searches of some greedy calls visit enough pairs for
+    # the rule to build a merge ball; the word must not change
+    from synchrolab import sync
+
+    build, built = sync._merge_ball, []
+
+    def spy(*args, **kwargs):
+        ball = build(*args, **kwargs)
+        built.append(ball.radius)
+        return ball
+
+    monkeypatch.setattr(sync, "_merge_ball", spy)
+    for i in range(3):
+        aut = sample_uniform_automaton(4000, 2, Seed(7).stream(i))
+        A = image(aut, phase1_word_interleaved(4000), StateSet.full(4000))
+        assert greedy_synchronize(aut, A) == reference_greedy(aut, A.members.tolist())
+    assert built and set(built) == {3}
+
+
+# ---------------------------------------------------------------------
 # all-pairs radius
 # ---------------------------------------------------------------------
 def test_radius_constant_and_permutation():
