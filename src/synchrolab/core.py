@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import warnings
 from collections.abc import Iterable
 from pathlib import Path
 from typing import TextIO
@@ -37,12 +38,14 @@ def char_to_letter(ch: str) -> int:
 
 
 def _as_index(value, what: str) -> int:
-    """value as a Python int; floats and other non-integral values raise
-    instead of being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+    """value as a Python int; floats, bools and other non-integral values
+    raise instead of being truncated."""
+    if not isinstance(value, bool):  # numpy's bool already has no __index__
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_int_array(values, what: str) -> np.ndarray:
@@ -345,16 +348,14 @@ def cerny_automaton(n: int) -> Automaton:
 #
 # line 1:  dfa v1 <n> <k>
 # lines 2..n+1: row x holds k whitespace-separated targets, letters 0..k-1.
+# Numbers are ASCII decimal; blank lines are ignored; there are no comments.
 
 
 def write_dfa(aut: Automaton, dest: str | Path | TextIO) -> None:
     """Serialize an automaton in the dfa v1 text format."""
-    lines = [f"dfa v1 {aut.n} {aut.k}"]
-    # Row by row: one tolist() of the whole table would hold every entry as
-    # a Python int at once, about 36 MiB more at n = 3e5.
-    for row in aut.table:
-        lines.append(" ".join(map(str, row.tolist())))
-    text = "\n".join(lines) + "\n"
+    n, k = aut.table.shape
+    row = " ".join(["%d"] * k) + "\n"
+    text = f"dfa v1 {n} {k}\n" + row * n % tuple(aut.table.ravel().tolist())
     if isinstance(dest, (str, Path)):
         Path(dest).write_text(text)
     else:
@@ -371,24 +372,21 @@ def read_dfa(source: str | Path | TextIO) -> Automaton:
     if not lines:
         raise InvalidInputError("empty dfa file")
     head = lines[0].split()
-    if len(head) != 4 or head[0] != "dfa" or head[1] != "v1":
+    nk = "".join(head[2:])
+    if len(head) != 4 or head[:2] != ["dfa", "v1"] or not (nk.isascii() and nk.isdigit()):
         raise InvalidInputError(f"bad header {lines[0]!r}, expected 'dfa v1 <n> <k>'")
-    try:
-        n, k = int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise InvalidInputError(f"bad header {lines[0]!r}") from exc
+    n, k = int(head[2]), int(head[3])
     if n < 1 or k < 1:
         raise InvalidInputError("header must declare positive n and k")
     body = lines[1:]
     if len(body) != n:
         raise InvalidInputError(f"expected {n} transition rows, found {len(body)}")
-    table = np.empty((n, k), dtype=np.int64)
-    for x, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != k:
-            raise InvalidInputError(f"row {x} has {len(parts)} entries, expected {k}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns, then truncates 1.5
         try:
-            table[x] = [int(p) for p in parts]
-        except (ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"row {x} is not integral or out of range: {line!r}") from exc
+            table = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, DeprecationWarning) as exc:
+            raise InvalidInputError(f"bad transition rows: {exc}") from exc
+    if table.shape[1] != k:
+        raise InvalidInputError(f"rows have {table.shape[1]} entries, expected {k}")
     return Automaton(table)

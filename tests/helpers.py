@@ -26,6 +26,15 @@ def chain_automaton() -> Automaton:
     return Automaton([[1], [2], [2]])
 
 
+def reference_dfa_text(aut: Automaton) -> str:
+    """Plain-Python twin of synchrolab.write_dfa: the header line, then one
+    line per row with its entries joined by single spaces."""
+    lines = [f"dfa v1 {aut.n} {aut.k}"]
+    for row in aut.table:
+        lines.append(" ".join(map(str, row.tolist())))
+    return "\n".join(lines) + "\n"
+
+
 def reference_merge_search(aut: Automaton, sources, max_len=None):
     """Plain-Python twin of synchrolab.sync._merge_search.
 

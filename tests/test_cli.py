@@ -182,12 +182,15 @@ def test_cerny_subcommand(tmp_path, capsys):
 def test_missing_file_is_invalid_input(capsys, tmp_path):
     latin1 = tmp_path / "latin1.dfa"
     latin1.write_bytes(b"dfa v1 1 1\n0 \xe9\n")
+    ragged = tmp_path / "ragged.dfa"
+    ragged.write_text("dfa v1 3 2\n0 1\n2\n1 0\n")
     for argv in (
         ("exact", "--in", "does-not-exist.dfa"),
         ("sync", "--in", str(tmp_path)),
         ("experiment", "--config", str(tmp_path)),
         ("gen", "--n", "5", "--out", str(tmp_path)),
         ("sync", "--in", str(latin1)),
+        ("sync", "--in", str(ragged)),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv

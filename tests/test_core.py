@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_automaton, constant_automaton, permutation_automaton
+from helpers import (
+    chain_automaton,
+    constant_automaton,
+    permutation_automaton,
+    reference_dfa_text,
+)
 from synchrolab import (
     Automaton,
     InvalidInputError,
@@ -60,10 +65,14 @@ def test_word_rejects_bad_input():
         lambda: apply_word(constant_automaton(3), Word([0]), 1.7),
         lambda: 1.5 in StateSet(5, [1]),
         lambda: StateSet.full(5.5),
+        lambda: Word([True, False]),
+        lambda: True in StateSet(5, [1]),
+        lambda: StateSet(True),
     ],
     ids=["automaton", "stateset-list", "stateset-array", "stateset-mask", "stateset-n",
          "iterate-count", "iterate-letter", "word", "apply-word-state",
-         "stateset-contains", "stateset-full-n"],
+         "stateset-contains", "stateset-full-n", "word-bool", "stateset-contains-bool",
+         "stateset-bool-n"],
 )
 def test_non_integral_input_is_rejected_not_truncated(build):
     with pytest.raises(InvalidInputError):
@@ -353,10 +362,36 @@ def test_dfa_round_trip(tmp_path, cerny4):
 
 
 def test_dfa_round_trip_via_streams():
-    aut = chain_automaton()
+    for aut in (chain_automaton(), Automaton([[0]])):
+        buf = io.StringIO()
+        write_dfa(aut, buf)
+        assert read_dfa(io.StringIO(buf.getvalue())) == aut
+    assert buf.getvalue() == "dfa v1 1 1\n0\n"
+
+
+@_hypothesis
+@given(st.data())
+def test_dfa_text_matches_per_row_writer_and_round_trips(data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 4))
+    entries = data.draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
+    aut = Automaton(np.array(entries, dtype=np.int64).reshape(n, k))
     buf = io.StringIO()
     write_dfa(aut, buf)
-    assert read_dfa(io.StringIO(buf.getvalue())) == aut
+    text = buf.getvalue()
+    assert text == reference_dfa_text(aut)
+    assert read_dfa(io.StringIO(text)) == aut
+    # the same file with tabs between entries and blank or whitespace-only
+    # lines anywhere parses to the same automaton
+    padded = []
+    for line in text.splitlines():
+        padded += data.draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=2))
+        padded.append(line.replace(" ", data.draw(st.sampled_from([" ", "\t", " \t", "  "]))))
+    padded += data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    assert read_dfa(io.StringIO("\n".join(padded))) == aut
+
+
+_default_warnings = pytest.mark.filterwarnings("default")
 
 
 @pytest.mark.parametrize(
@@ -370,6 +405,23 @@ def test_dfa_round_trip_via_streams():
         "dfa v1 2 2\n0 2\n0 0\n",  # target out of range
         "dfa v1 2 2\n0 x\n0 0\n",  # non-integer
         "dfa v1 2 2\n1 99999999999999999999\n0 0\n",  # past int64
+        "dfa v1 2 2\n0 1 # to 0 and 1\n0 0\n",  # no comments
+        "dfa v1 11 1\n1_0\n" + "0\n" * 10,  # no digit separators
+        "dfa v1 2 2\n\u0661 0\n0 0\n",  # no non-ASCII digits
+        "dfa v1 3 2\n0 0\n0\n0 0\n",  # ragged middle row
+        "dfa v1 2 2\n0 0 0\n0 0 0\n",  # every row has k + 1 entries
+        "dfa v1 2 2\n0\n0\n",  # every row has k - 1 entries
+        "dfa v1 2 2 x\n0 0\n0 0\n",  # extra header token
+        "dfa v1 1000000000000 2\n0 0\n0 0\n",  # huge n: raises before allocating
+        "dfa v1 2 2\n0 -1\n0 0\n",  # negative target
+        "dfa v1 2 2\n",  # no body
+        "dfa v1 1_0 1\n" + "0\n" * 10,  # no digit separators in the header
+        "dfa v1 \u0662 1\n0\n0\n",  # no non-ASCII digits in the header
+        # not integers; run under the default warning filters, as outside
+        # the tests, where older numpy only warns and truncates
+        pytest.param("dfa v1 2 2\n1.5 0\n0 0\n", marks=_default_warnings),
+        pytest.param("dfa v1 3 1\n2.0\n0\n0\n", marks=_default_warnings),
+        pytest.param("dfa v1 2 1\n1e0\n0\n", marks=_default_warnings),
     ],
 )
 def test_dfa_parse_errors(text):
