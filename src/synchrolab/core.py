@@ -8,6 +8,7 @@ reading order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import operator
 import warnings
@@ -57,24 +58,37 @@ def _as_int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _first_of_runs(arr: np.ndarray, low_bits: int = 0) -> np.ndarray:
+    """Mask of the first element of each run of a sorted array, a run being
+    values that agree above their `low_bits` lowest bits."""
+    first = np.empty(arr.size, dtype=bool)
+    first[:1] = True
+    if low_bits:
+        differ = arr[1:] ^ arr[:-1]
+        differ >>= low_bits
+        np.not_equal(differ, 0, out=first[1:])
+    else:
+        np.not_equal(arr[1:], arr[:-1], out=first[1:])
+    return first
+
+
 def _sorted_unique(values: np.ndarray, low_bits: int = 0) -> np.ndarray:
     """The values sorted, as a new flat array, keeping the first of each run
     of values that agree above their `low_bits` lowest bits: the distinct
     values when low_bits is 0.  One sort and an adjacent compare; numpy's
     own unique is far slower on integer arrays."""
     arr = np.sort(values, axis=None)
-    if arr.size > 1:
-        keep = np.empty(arr.size, dtype=bool)
-        keep[0] = True
-        if low_bits:
-            differ = arr[1:] ^ arr[:-1]
-            differ >>= low_bits
-            np.not_equal(differ, 0, out=keep[1:])
-            del differ
-        else:
-            np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-        arr = arr[keep]
-    return arr
+    return arr[_first_of_runs(arr, low_bits)]
+
+
+def _preimage_runs(succ: np.ndarray, n: int):
+    """The preimages of every state under a successor array, as the runs of
+    one argsort: those of state v are order[start[v]:start[v] + count[v]].
+    Returns (order, start, count)."""
+    count = np.bincount(succ, minlength=n)
+    start = np.zeros(n, dtype=np.int64)
+    np.cumsum(count[:-1], out=start[1:])
+    return np.argsort(succ), start, count
 
 
 class Word:
@@ -363,30 +377,30 @@ def write_dfa(aut: Automaton, dest: str | Path | TextIO) -> None:
 
 
 def read_dfa(source: str | Path | TextIO) -> Automaton:
-    """Parse the dfa v1 text format; malformed input raises InvalidInputError."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidInputError("empty dfa file")
-    head = lines[0].split()
-    nk = "".join(head[2:])
-    if len(head) != 4 or head[:2] != ["dfa", "v1"] or not (nk.isascii() and nk.isdigit()):
-        raise InvalidInputError(f"bad header {lines[0]!r}, expected 'dfa v1 <n> <k>'")
-    n, k = int(head[2]), int(head[3])
-    if n < 1 or k < 1:
-        raise InvalidInputError("header must declare positive n and k")
-    body = lines[1:]
-    if len(body) != n:
-        raise InvalidInputError(f"expected {n} transition rows, found {len(body)}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns, then truncates 1.5
-        try:
-            table = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
-        except (ValueError, DeprecationWarning) as exc:
-            raise InvalidInputError(f"bad transition rows: {exc}") from exc
+    """Parse the dfa v1 text format, streaming the rows into one table;
+    malformed input raises InvalidInputError."""
+    with open(source) if isinstance(source, (str, Path)) else contextlib.nullcontext(source) as stream:
+        for header in stream:
+            if header.strip():
+                break
+        else:
+            raise InvalidInputError("empty dfa file")
+        head = header.split()
+        nk = "".join(head[2:])
+        if len(head) != 4 or head[:2] != ["dfa", "v1"] or not (nk.isascii() and nk.isdigit()):
+            raise InvalidInputError(f"bad header {header.strip()!r}, expected 'dfa v1 <n> <k>'")
+        n, k = int(head[2]), int(head[3])
+        if n < 1 or k < 1:
+            raise InvalidInputError("header must declare positive n and k")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns, then truncates 1.5
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # no rows
+            try:
+                table = np.loadtxt(stream, dtype=np.int64, ndmin=2, comments=None)
+            except (ValueError, DeprecationWarning) as exc:
+                raise InvalidInputError(f"bad transition rows: {exc}") from exc
+    if table.shape[0] != n:
+        raise InvalidInputError(f"expected {n} transition rows, found {table.shape[0]}")
     if table.shape[1] != k:
         raise InvalidInputError(f"rows have {table.shape[1]} entries, expected {k}")
     return Automaton(table)

@@ -195,16 +195,6 @@ class QuantityStats:
     median: float
     count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "min": self.min,
-            "max": self.max,
-            "median": self.median,
-            "count": self.count,
-        }
-
 
 @dataclass
 class Verdict:
@@ -232,17 +222,14 @@ class SummaryStats:
         return {
             "experiment": self.experiment,
             "per_n": {
-                str(n): {q: s.to_dict() for q, s in qs.items()}
+                str(n): {q: asdict(s) for q, s in qs.items()}
                 for n, qs in self.per_n.items()
             },
             "derived": {
                 str(n): dict(vals) for n, vals in self.derived.items()
             },
             "overall": dict(self.overall),
-            "verdicts": [
-                {"name": v.name, "passed": v.passed, "detail": v.detail}
-                for v in self.verdicts
-            ],
+            "verdicts": [asdict(v) for v in self.verdicts],
             "meta": self.meta,
         }
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, _sorted_unique
+from .core import Automaton, StateSet, _preimage_runs, _sorted_unique
 from .errors import CapacityError, InvalidInputError
 
 PROB_SUM_TOL = 1e-12
@@ -315,21 +314,19 @@ def distance_to_set(g: FunctionalGraph, targets) -> dict[int, int]:
     if members.size == 0:
         raise InvalidInputError("target set must be nonempty")
 
-    succ = g.succ
-    n = g.n
-    # preds of v are order[start[v]:start[v+1]]
-    order = np.argsort(succ, kind="stable")
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(succ, minlength=n), out=start[1:])
-
-    dist = {int(v): 0 for v in members}
-    queue = deque(int(v) for v in members)
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for u in order[start[v]:start[v + 1]]:
-            u = int(u)
-            if u not in dist:
-                dist[u] = d
-                queue.append(u)
-    return dist
+    # Level d + 1 is the preimages of level d not reached before; a vertex
+    # has one successor, so a level holds each vertex once.
+    order, start, count = _preimage_runs(g.succ, g.n)
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[members] = 0
+    level, d = members, 0
+    while level.size:
+        c = count[level]
+        pos = np.repeat(start[level] - np.cumsum(c) + c, c)
+        pos += np.arange(pos.size)
+        level = order[pos]
+        level = level[dist[level] < 0]
+        d += 1
+        dist[level] = d
+    reached = np.flatnonzero(dist >= 0)
+    return dict(zip(reached.tolist(), dist[reached].tolist()))

@@ -2,15 +2,15 @@
 product-space BFS, greedy full synchronization, and the exact shortest-reset
 oracle over the power set.
 
-A pair of states (u, v) is encoded as u * n + v everywhere.  The wide
-searches keep unordered pairs canonical with u < v, as int64 codes; the
-all-pairs radius runs over all n^2 ordered pairs, as int32 codes.
+A pair of states {u, v}, u < v, has one encoding everywhere: the canonical
+int64 code u * n + v.
 
-Greedy shares one merge ball between its rounds: the canonical pairs within
-r letters of the diagonal, found once by a reverse level BFS over the
-letters' preimages.  A round's forward search then stops r levels short of
-the diagonal and finishes its word inside the ball, with the word of the
-search without a ball (r = 0).
+Greedy shares one merge ball between its rounds: the pairs within r letters
+of the diagonal, found once by a reverse level BFS over the letters'
+preimages.  A round's forward search then stops r levels short of the
+diagonal and finishes its word inside the ball, with the word of the search
+without a ball (r = 0).  The all-pairs radius is the same reverse BFS, with
+the same level step, run to the end.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, Word, _image_members, _sorted_unique, image, is_reset_word
+from .core import Automaton, StateSet, Word, _first_of_runs, _image_members, _preimage_runs, _sorted_unique
+from .core import image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
-# Product space guards: the all-pairs radius holds k int32 successor codes
-# and four boolean masks per ordered pair, about (4k + 4) n^2 bytes, and its
-# limit keeps those codes below 2^31; the wide BFS keeps every visited pair
-# code in memory.  Greedy's merge ball holds at most _BALL_CODES * n codes
-# (r = 3 for two letters, about 7n codes) at 13 to 17 bytes each: the
-# int64 code, the int8 distance and 4 to 8 lookup flags.
+# Product space guards: the all-pairs radius holds an n^2-byte map of the
+# pair codes seen and the codes of about two levels; the wide BFS keeps
+# every visited pair code in memory.  Greedy's merge ball holds at most
+# _BALL_CODES * n codes (r = 3 for two letters, about 7n codes) at 13 to 17
+# bytes each: the int64 code, the int8 distance and 4 to 8 lookup flags.
 RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
 _BALL_CODES = 8
@@ -39,6 +39,10 @@ _BALL_CODES = 8
 # per-level overhead that the ball does not save.
 _BALL_AFTER_VISITS = 4
 _BALL_MIN_SEARCH = 4096
+
+# The reverse BFS steps through a level this many pairs at a time, and makes
+# their spawned pairs in arrays of about this many codes: small temporaries.
+_LEVEL_SLICE = 1 << 14
 
 # Power-set search guard.
 SUBSET_STATE_LIMIT = 24
@@ -183,82 +187,91 @@ class _MergeBall:
 _NO_BALL = _MergeBall(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 0)
 
 
-def _spawned_codes(order, sx, cx, sy, cy, n: int) -> np.ndarray:
+def _spawned_codes(order, sx, cx, sy, cy, n: int):
     """Canonical codes of the pairs {order[sx[i] + a], order[sy[i] + b]},
     a < cx[i] (cx may be one count for every i) and b < cy[i], over every
-    i; the two runs of an i never overlap, so no pair is on the diagonal."""
+    i; the two runs of an i never overlap, so no pair is on the diagonal.
+    Yields them in arrays of the i whose codes end in one stretch of
+    _LEVEL_SLICE codes: an array is longer only by the codes of its first i."""
     m = cx * cy
     i = np.flatnonzero(m)
     m = m[i]
-    a = np.arange(int(m.sum()), dtype=np.int64)
-    a -= np.repeat(np.cumsum(m) - m, m)
-    a, b = np.divmod(a, np.repeat(cy[i], m))
-    a += np.repeat(sx[i], m)
-    b += np.repeat(sy[i], m)
-    a = order[a]
-    b = order[b]
-    codes = np.minimum(a, b)
-    codes *= n
-    np.maximum(a, b, out=b)
-    codes += b
-    return codes
+    cuts = np.searchsorted(np.cumsum(m), np.arange(0, m.sum(), _LEVEL_SLICE), side="right")
+    cuts = cuts[_first_of_runs(cuts)]
+    for lo, hi in zip(cuts, [*cuts[1:], i.size]):
+        c = m[lo:hi]
+        j = i[lo:hi]
+        a = np.arange(int(c.sum()), dtype=np.int64)
+        a -= np.repeat(np.cumsum(c) - c, c)
+        a, b = np.divmod(a, np.repeat(cy[j], c))
+        a += np.repeat(sx[j], c)
+        b += np.repeat(sy[j], c)
+        a = order[a]
+        b = order[b]
+        codes = np.minimum(a, b)
+        codes *= n
+        np.maximum(a, b, out=b)
+        codes += b
+        yield codes
 
 
-def _merge_ball(aut: Automaton, radius: int = np.iinfo(np.int8).max, max_codes=None) -> _MergeBall:
+def _preimage_pairs(letters, level, n: int):
+    """Codes of the pairs that a letter sends onto a pair of `level` (distinct
+    codes), or onto the diagonal when level is None, letter by letter, with
+    letters[c] the preimage runs of letter c: (x, y) spawns every pair of a
+    preimage of x and one of y.  Each state has one image under a letter, so
+    a code repeats only in the arrays of two different letters."""
+    if level is None:
+        p = np.arange(n, dtype=np.int64)
+        for order, start, count in letters:
+            # Position p of order pairs with the rest of its preimage set.
+            ends = np.repeat(start + count, count)
+            yield from _spawned_codes(order, p, 1, p + 1, ends - p - 1, n)
+        return
+    for s in range(0, level.size, _LEVEL_SLICE):
+        x, y = np.divmod(level[s:s + _LEVEL_SLICE], n)
+        for order, start, count in letters:
+            yield from _spawned_codes(order, start[x], count[x], start[y], count[y], n)
+
+
+def _merge_ball(aut: Automaton, radius: int = np.iinfo(np.int8).max, max_codes=math.inf) -> _MergeBall:
     """The merge ball of the given radius, by a level BFS from the diagonal.
 
     Level d holds the pairs not in an earlier level that some letter sends
-    into level d - 1, level 0 being the diagonal: level 1 pairs the states
-    of one preimage set, and a pair (x, y) of level d spawns every pair of
-    one preimage of x and one of y.  A letter's preimage sets are the runs
-    of one argsort of its successor array.  The BFS stops after `radius`
-    levels or at an empty level, and also before a level whose candidate
-    pairs would take the ball past max_codes codes; the radius is then the
-    last level built.  Each level's candidates are made one letter at a
-    time and merged into the ball at once, so the peak is about twice the
-    ball plus one level's candidates.
+    into level d - 1, level 0 being the diagonal (_preimage_pairs).  The BFS
+    stops after `radius` levels or at an empty level, and also before a
+    level whose candidate pairs would take the ball past max_codes codes,
+    which it finds out while making them; the radius is then the last level
+    built.  A level's candidates are merged into the ball at once, so the
+    peak is about twice the ball plus one level's candidates.
     """
     n = aut.n
     if n >= 1 << 28:  # code << 7 must fit in int64
         return _NO_BALL
-    letters = []  # order, and each state's preimages order[start:start + count]
-    for c in range(aut.k):
-        t = aut.letter(c)
-        count = np.bincount(t, minlength=n)
-        start = np.zeros(n, dtype=np.int64)
-        np.cumsum(count[:-1], out=start[1:])
-        letters.append((np.argsort(t), start, count))
+    letters = [_preimage_runs(aut.letter(c), n) for c in range(aut.k)]
     # The ball so far as sorted keys code << 7 | distance: sorting the keys
     # with a level's candidates keeps each code's first, nearest key.
     keys = np.empty(0, dtype=np.int64)
-    x = y = None  # the pairs (x, y) of the last level; None: the diagonal
+    level = None  # the codes of the last level; None: the diagonal
     for d in range(1, radius + 1):
-        if x is None:
-            spawns = sum(int((count * (count - 1) // 2).sum()) for _order, _start, count in letters)
-        else:
-            spawns = sum(int((count[x] * count[y]).sum()) for _order, _start, count in letters)
-        if max_codes is not None and keys.size + spawns > max_codes:
-            radius = d - 1
-            break
-        parts = [keys]
-        for order, start, count in letters:
-            if x is None:
-                # Position p of order pairs with the rest of its preimage set.
-                p = np.arange(n, dtype=np.int64)
-                ends = np.repeat(start + count, count)
-                part = _spawned_codes(order, p, 1, p + 1, ends - p - 1, n)
-            else:
-                part = _spawned_codes(order, start[x], count[x], start[y], count[y], n)
+        parts, size = [keys], keys.size
+        for part in _preimage_pairs(letters, level, n):
+            size += part.size
+            if size > max_codes:
+                break
             part <<= 7
             part |= d
             parts.append(part)
-        keys = np.concatenate(parts)
-        del parts, part
-        keys = _sorted_unique(keys, low_bits=7)
-        x, y = np.divmod(keys[keys & 0x7F == d] >> 7, n)
-        if not x.size:
+        if size > max_codes:
+            radius = d - 1
             break
-    x = y = None
+        keys = np.concatenate(parts)
+        del parts
+        keys = _sorted_unique(keys, low_bits=7)
+        level = keys[keys & 0x7F == d] >> 7
+        if not level.size:
+            break
+    level = parts = None
     dist = keys.astype(np.int8)
     dist &= 0x7F
     keys >>= 7
@@ -283,9 +296,7 @@ def _descend(letter_maps, n: int, ball: _MergeBall, codes: np.ndarray, at: np.nd
         index = index[keep]
         order = np.argsort(cand, kind="stable")
         cand = cand[order]
-        first = np.empty(cand.size, dtype=bool)
-        first[0] = True
-        np.not_equal(cand[1:], cand[:-1], out=first[1:])
+        first = _first_of_runs(cand)
         cur = cand[first]
         steps.append((index[order][first], width))
         width = cur.size
@@ -356,10 +367,7 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
         # visit guard, so the key label << shift | index fits in int64.
         order = np.argsort(cand_codes)
         cand_codes = cand_codes[order]
-        first = np.empty(cand_codes.size, dtype=bool)
-        first[0] = True
-        np.not_equal(cand_codes[1:], cand_codes[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(_first_of_runs(cand_codes))
         shift = cand_codes.size.bit_length()
         keys = np.tile(labels, k)[order]
         keys <<= shift
@@ -419,8 +427,11 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
     """Maximum over pairs of the shortest merge length, or math.inf when
     some pair can never merge.
 
-    Level BFS outward from the diagonal over the ordered pairs u * n + v:
-    an unseen pair joins level d + 1 when some letter sends it into level d.
+    Level BFS outward from the diagonal with the merge ball's level step
+    (_preimage_pairs): an unseen pair joins level d + 1 when some letter
+    sends it onto level d.  An n^2-byte map of the canonical codes marks
+    the pairs seen; marking each array of the step as it comes keeps a
+    pair out of the level twice.
     """
     n = aut.n
     if n < 2:
@@ -429,25 +440,20 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
         raise CapacityError(
             f"all-pairs table is capped at {RADIUS_STATE_LIMIT} states, got {n}"
         )
-    succ = []
-    for c in range(aut.k):
-        t = aut.letter(c).astype(np.int32)
-        succ.append((t[:, None] * n + t).ravel())
-    frontier = np.eye(n, dtype=bool).ravel()
-    seen = frontier.copy()
-    unseen = n * n - n
-    radius = 0
+    letters = [_preimage_runs(aut.letter(c), n) for c in range(aut.k)]
+    seen = np.zeros(n * n, dtype=bool)
+    unseen = n * (n - 1) // 2
+    level, radius = None, 0
     while unseen:
-        hit = frontier[succ[0]]
-        for sc in succ[1:]:
-            hit |= frontier[sc]
-        hit &= ~seen
-        found = int(np.count_nonzero(hit))
-        if not found:
+        parts = [np.empty(0, dtype=np.int64)]
+        for part in _preimage_pairs(letters, level, n):
+            part = part[~seen[part]]
+            seen[part] = True
+            parts.append(part)
+        level = np.concatenate(parts)
+        if not level.size:
             return math.inf
-        seen |= hit
-        unseen -= found
-        frontier = hit
+        unseen -= level.size
         radius += 1
     return radius
 
@@ -574,11 +580,7 @@ def exact_shortest_reset(aut: Automaton) -> Word | None:
         # among its equals, and sorting the kept positions restores
         # discovery order.
         order = np.argsort(cand, kind="stable")
-        ordered = cand[order]
-        first = np.empty(ordered.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        keep = np.sort(order[first])
+        keep = np.sort(order[_first_of_runs(cand[order])])
         level = cand[keep]
         visited[level] = True
         parents.append(index[keep])

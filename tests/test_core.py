@@ -417,6 +417,9 @@ _default_warnings = pytest.mark.filterwarnings("default")
         "dfa v1 2 2\n",  # no body
         "dfa v1 1_0 1\n" + "0\n" * 10,  # no digit separators in the header
         "dfa v1 \u0662 1\n0\n0\n",  # no non-ASCII digits in the header
+        "dfa v1 2 2\n0 0\r0 0\n",  # a lone carriage return ends no row
+        "dfa v1 2 1\n0\x0b1\n",  # nor does a vertical tab: one row of two entries
+        "dfa v1 2 1\n0\u20281\n",  # nor a line separator
         # not integers; run under the default warning filters, as outside
         # the tests, where older numpy only warns and truncates
         pytest.param("dfa v1 2 2\n1.5 0\n0 0\n", marks=_default_warnings),

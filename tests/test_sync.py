@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,44 @@ def test_radius_equals_forward_search_maximum(rng):
         assert radius == worst
         if disjoint:
             assert radius == math.inf
+
+
+def test_radius_of_cerny_automaton_is_n_choose_2():
+    # radii far past the 7-bit distances of the merge ball's keys
+    for n in range(2, 41):
+        assert all_pairs_merge_radius(cerny_automaton(n)) == n * (n - 1) // 2
+
+
+def test_radius_and_ball_do_not_depend_on_the_slice_size(rng, monkeypatch):
+    from synchrolab import sync
+
+    auts = [sample_uniform_automaton(int(rng.integers(2, 80)), int(rng.integers(1, 4)), rng) for _ in range(12)]
+    n = 40
+    half = np.arange(n) % 2  # two preimage sets of n/2 states: one pair spawns n^2/4 pairs
+    auts += [Automaton(np.stack([half, rng.integers(0, n, n)], axis=1)), constant_automaton(n), cerny_automaton(9)]
+
+    def results():
+        balls = [sync._merge_ball(aut, 4, max_codes=6 * aut.n) for aut in auts]
+        return [all_pairs_merge_radius(aut) for aut in auts], [(b.codes.tolist(), b.dist.tolist(), b.radius) for b in balls]
+
+    expected = results()
+    for size in (1, 3, 64):
+        monkeypatch.setattr(sync, "_LEVEL_SLICE", size)
+        assert results() == expected
+
+
+def test_radius_memory_is_under_the_documented_bound():
+    # README "Capacity guards": under 5 n^2 bytes on a random automaton with
+    # two letters
+    n = 1024
+    aut = sample_uniform_automaton(n, 2, Seed(7).stream(1))
+    tracemalloc.start()
+    try:
+        assert all_pairs_merge_radius(aut) == 13
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n
 
 
 # ---------------------------------------------------------------------
