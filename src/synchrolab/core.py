@@ -222,9 +222,11 @@ class StateSet:
 class Automaton:
     """n states, k letters, and one total successor map per letter.
 
-    The table has shape (n, k): row x lists the targets of x under letters
-    0..k-1.  Instances are immutable after construction and safe to share
-    across workers.
+    The transitions are stored once, as k rows of n targets: row c is the
+    successor array of letter c.  The table is its transposed view, of
+    shape (n, k): row x lists the targets of x under letters 0..k-1.
+    Instances are immutable after construction and safe to share across
+    workers.
     """
 
     def __init__(self, table):
@@ -236,38 +238,33 @@ class Automaton:
             raise InvalidInputError("need at least one state and one letter")
         if tab.min() < 0 or tab.max() >= n:
             raise InvalidInputError(f"table entries must be states in [0, {n})")
-        tab = tab.copy()
-        tab.setflags(write=False)
-        self._table = tab
-        self._letters = []
-        for c in range(k):
-            col = np.ascontiguousarray(tab[:, c])
-            col.setflags(write=False)
-            self._letters.append(col)
+        rows = np.array(tab.T, order="C")
+        rows.setflags(write=False)
+        self._rows = rows
 
     @property
     def n(self) -> int:
-        return int(self._table.shape[0])
+        return int(self._rows.shape[1])
 
     @property
     def k(self) -> int:
-        return int(self._table.shape[1])
+        return int(self._rows.shape[0])
 
     @property
     def table(self) -> np.ndarray:
-        return self._table
+        return self._rows.T
 
     def letter(self, c: int) -> np.ndarray:
         """Successor array of letter c (length n, read-only)."""
         if not 0 <= c < self.k:
             raise InvalidInputError(f"letter {c} out of range [0, {self.k})")
-        return self._letters[c]
+        return self._rows[c]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Automaton)
-            and self._table.shape == other._table.shape
-            and bool(np.array_equal(self._table, other._table))
+            and self._rows.shape == other._rows.shape
+            and bool(np.array_equal(self._rows, other._rows))
         )
 
     def __repr__(self) -> str:

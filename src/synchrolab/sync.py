@@ -9,8 +9,12 @@ Greedy shares one merge ball between its rounds: the pairs within r letters
 of the diagonal, found once by a reverse level BFS over the letters'
 preimages.  A round's forward search then stops r levels short of the
 diagonal and finishes its word inside the ball, with the word of the search
-without a ball (r = 0).  The all-pairs radius is the same reverse BFS, with
-the same level step, run to the end.
+without a ball (r = 0).  The all-pairs radius is the same reverse BFS run
+to the end, direction-optimising as in Beamer, Asanovic and Patterson
+(SC 2012): it pushes a sparse level with the same level step, and pulls a
+dense one, each pair looking up its images in n x n bool matrices of the
+level and of the pairs seen.  The push step's counts, known before it
+spawns a pair, decide which.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .core import Automaton, StateSet, Word, _first_of_runs, _image_members, _pr
 from .core import image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
-# Product space guards: the all-pairs radius holds an n^2-byte map of the
-# pair codes seen and the codes of about two levels; the wide BFS keeps
+# Product space guards: the all-pairs radius holds at most three n x n
+# bool matrices and a sparse level (_radius_bytes); the wide BFS keeps
 # every visited pair code in memory.  Greedy's merge ball holds at most
 # _BALL_CODES * n codes (r = 3 for two letters, about 7n codes) at 13 to 17
 # bytes each: the int64 code, the int8 distance and 4 to 8 lookup flags.
@@ -43,6 +47,16 @@ _BALL_MIN_SEARCH = 4096
 # The reverse BFS steps through a level this many pairs at a time, and makes
 # their spawned pairs in arrays of about this many codes: small temporaries.
 _LEVEL_SLICE = 1 << 14
+
+# The all-pairs radius pulls a level instead of pushing it when the push
+# step would spawn more than _PULL_SHARE of all pairs, and pushes again
+# once a pulled level holds fewer than _PUSH_SHARE of them: a pull reads
+# every pair whatever the level's size, so the shares are of all pairs,
+# not of the pairs left unseen.  A pull works through blocks of rows of
+# about _PULL_ROWS_BYTES bytes.
+_PULL_SHARE = 0.06
+_PUSH_SHARE = 0.02
+_PULL_ROWS_BYTES = 1 << 16
 
 # Power-set search guard.
 SUBSET_STATE_LIMIT = 24
@@ -187,25 +201,37 @@ class _MergeBall:
 _NO_BALL = _MergeBall(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 0)
 
 
-def _spawned_codes(order, sx, cx, sy, cy, n: int):
-    """Canonical codes of the pairs {order[sx[i] + a], order[sy[i] + b]},
-    a < cx[i] (cx may be one count for every i) and b < cy[i], over every
-    i; the two runs of an i never overlap, so no pair is on the diagonal.
-    Yields them in arrays of the i whose codes end in one stretch of
-    _LEVEL_SLICE codes: an array is longer only by the codes of its first i."""
+def _spawn_run(order, sx, cx, sy, cy):
+    """The spawn of the pairs {order[sx[i] + a], order[sy[i] + b]}, a < cx[i]
+    (cx may be one count for every i) and b < cy[i], over every i: the i
+    that spawn a pair, with their counts cx[i] * cy[i], and the total count.
+    Returns (order, sx, sy, cy, m, total) over those i."""
     m = cx * cy
-    i = np.flatnonzero(m)
+    i = m.nonzero()[0]
     m = m[i]
-    cuts = np.searchsorted(np.cumsum(m), np.arange(0, m.sum(), _LEVEL_SLICE), side="right")
-    cuts = cuts[_first_of_runs(cuts)]
-    for lo, hi in zip(cuts, [*cuts[1:], i.size]):
+    return order, sx[i], sy[i], cy[i], m, int(m.sum())
+
+
+def _spawned_codes(run, n: int):
+    """Canonical codes of the pairs of a _spawn_run; the two runs of an i
+    never overlap, so no pair is on the diagonal.  Yields them in arrays of
+    the i whose codes end in one stretch of _LEVEL_SLICE codes: an array is
+    longer only by the codes of its first i."""
+    order, sx, sy, cy, m, total = run
+    if total > _LEVEL_SLICE:
+        cuts = np.searchsorted(m.cumsum(), np.arange(0, total, _LEVEL_SLICE), side="right")
+        cuts = cuts[_first_of_runs(cuts)]
+    else:
+        cuts = [0] if total else []
+    for lo, hi in zip(cuts, [*cuts[1:], m.size]):
         c = m[lo:hi]
-        j = i[lo:hi]
-        a = np.arange(int(c.sum()), dtype=np.int64)
-        a -= np.repeat(np.cumsum(c) - c, c)
-        a, b = np.divmod(a, np.repeat(cy[j], c))
-        a += np.repeat(sx[j], c)
-        b += np.repeat(sy[j], c)
+        ends = c.cumsum()
+        a = np.arange(ends[-1], dtype=np.int64)
+        ends -= c
+        a -= ends.repeat(c)
+        a, b = np.divmod(a, cy[lo:hi].repeat(c))
+        a += sx[lo:hi].repeat(c)
+        b += sy[lo:hi].repeat(c)
         a = order[a]
         b = order[b]
         codes = np.minimum(a, b)
@@ -215,23 +241,32 @@ def _spawned_codes(order, sx, cx, sy, cy, n: int):
         yield codes
 
 
-def _preimage_pairs(letters, level, n: int):
-    """Codes of the pairs that a letter sends onto a pair of `level` (distinct
-    codes), or onto the diagonal when level is None, letter by letter, with
+def _level_runs(letters, level, n: int):
+    """The _spawn_run of each letter that sends a pair onto a pair of `level`
+    (distinct codes), or onto the diagonal when level is None, with
     letters[c] the preimage runs of letter c: (x, y) spawns every pair of a
-    preimage of x and one of y.  Each state has one image under a letter, so
-    a code repeats only in the arrays of two different letters."""
+    preimage of x and one of y.  Steps through the level _LEVEL_SLICE pairs
+    at a time."""
     if level is None:
         p = np.arange(n, dtype=np.int64)
         for order, start, count in letters:
             # Position p of order pairs with the rest of its preimage set.
             ends = np.repeat(start + count, count)
-            yield from _spawned_codes(order, p, 1, p + 1, ends - p - 1, n)
+            yield _spawn_run(order, p, 1, p + 1, ends - p - 1)
         return
     for s in range(0, level.size, _LEVEL_SLICE):
         x, y = np.divmod(level[s:s + _LEVEL_SLICE], n)
         for order, start, count in letters:
-            yield from _spawned_codes(order, start[x], count[x], start[y], count[y], n)
+            yield _spawn_run(order, start[x], count[x], start[y], count[y])
+
+
+def _preimage_pairs(letters, level, n: int):
+    """Codes of the pairs that a letter sends onto a pair of `level`, or onto
+    the diagonal when level is None, letter by letter (_level_runs).  Each
+    state has one image under a letter, so a code repeats only in the
+    arrays of two different letters."""
+    for run in _level_runs(letters, level, n):
+        yield from _spawned_codes(run, n)
 
 
 def _merge_ball(aut: Automaton, radius: int = np.iinfo(np.int8).max, max_codes=math.inf) -> _MergeBall:
@@ -423,38 +458,133 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
     return PairDistanceResult(len(word), word)
 
 
+def _push_level(letters, level, seen, limit):
+    """The next level by the push step (_level_runs), as codes, or None when
+    the step would spawn more than `limit` pairs: the runs give the count
+    before any pair is spawned.  Marks each new pair (u, v) in the n x n
+    map seen, also as (v, u); marking each array as it comes keeps a pair
+    out of the level twice."""
+    n = seen.shape[0]
+    seen_codes = seen.reshape(-1)
+    runs, total = [], 0
+    for run in _level_runs(letters, level, n):
+        total += run[-1]
+        if total > limit:
+            return None
+        runs.append(run)
+    parts = [np.empty(0, dtype=np.int64)]
+    for run in runs:
+        for part in _spawned_codes(run, n):
+            part = part[~seen_codes[part]]
+            seen_codes[part] = True
+            u, v = np.divmod(part, n)
+            seen[v, u] = True
+            parts.append(part)
+    return np.concatenate(parts)
+
+
+def _pull_level(maps, front, seen, new, rows: int):
+    """The next level by pulling: new = the pairs not seen that some letter
+    sends onto a pair of front, all three symmetric n x n bool matrices.
+    Marks them seen and returns their number.  Works through `rows` rows
+    at a time: per letter a row gather of front, then a gather inside each
+    row, both with mode="clip" so that numpy writes into `out` directly."""
+    n = front.shape[0]
+    buf = np.empty((2, min(rows, n), n), dtype=bool)
+    size = 0
+    for r in range(0, n, rows):
+        out = new[r:r + rows]
+        gathered, hit = buf[:, :out.shape[0]]
+        for c, t in enumerate(maps):
+            np.take(front, t[r:r + rows], axis=0, out=gathered, mode="clip")
+            np.take(gathered, t, axis=1, out=hit if c else out, mode="clip")
+            if c:
+                out |= hit
+        np.greater(out, seen[r:r + rows], out=out)
+        seen[r:r + rows] |= out
+        size += np.count_nonzero(out)
+    return int(size) // 2
+
+
+def _level_matrix(level, n: int):
+    """The pairs of `level` (codes, or None for the diagonal) as a symmetric
+    n x n bool matrix."""
+    matrix = np.zeros((n, n), dtype=bool)
+    if level is None:
+        np.fill_diagonal(matrix, True)
+        return matrix
+    for s in range(0, level.size, _LEVEL_SLICE):
+        u, v = np.divmod(level[s:s + _LEVEL_SLICE], n)
+        matrix[u, v] = True
+        matrix[v, u] = True
+    return matrix
+
+
+def _radius_bytes(n: int) -> int:
+    """Bound on all_pairs_merge_radius's peak memory, 3.5 n^2 bytes.  A
+    pull holds three n x n bool matrices: the pairs seen, the level and the
+    next.  At the switch to pulling the codes of the last pushed level come
+    with them: a pushed level has at most _PULL_SHARE n^2 / 2 pairs at 8
+    bytes each, 0.24 n^2.  A push holds the map of the pairs seen, its
+    level, the runs of its step and the next level, under 3 n^2 in all.
+    Small n add the O(k n) bytes of the letters and a pull's row blocks."""
+    return 7 * n * n // 2
+
+
 def all_pairs_merge_radius(aut: Automaton) -> int | float:
     """Maximum over pairs of the shortest merge length, or math.inf when
     some pair can never merge.
 
-    Level BFS outward from the diagonal with the merge ball's level step
-    (_preimage_pairs): an unseen pair joins level d + 1 when some letter
-    sends it onto level d.  An n^2-byte map of the canonical codes marks
-    the pairs seen; marking each array of the step as it comes keeps a
-    pair out of the level twice.
+    Level BFS outward from the diagonal: an unseen pair joins level d + 1
+    when some letter sends it onto level d.  An n x n bool map marks the
+    pairs seen, both ways round.  While a level is sparse the BFS pushes
+    it with the merge ball's level step (_push_level), which spawns the
+    pairs of preimages of each pair of the level.  When the step would
+    spawn more than _PULL_SHARE of all pairs, which its counts tell
+    before any pair is spawned, the BFS pulls instead: on n x n bool
+    matrices of the level, every pair looks up where each letter sends it
+    (_pull_level).  It pushes again once a pulled level holds fewer than
+    _PUSH_SHARE of all pairs.  A pull costs about 2 k n^2 byte reads
+    whatever the level's size, a push a few dozen numpy calls per letter
+    and a few reads per spawned pair, so small automata pull from the
+    first level and deep radii push throughout.
     """
     n = aut.n
     if n < 2:
         raise InvalidInputError("need at least two states")
     if n > RADIUS_STATE_LIMIT:
         raise CapacityError(
-            f"all-pairs table is capped at {RADIUS_STATE_LIMIT} states, got {n}"
+            f"all-pairs radius needs about {_radius_bytes(n)} bytes at {n} states; it is capped at "
+            f"{RADIUS_STATE_LIMIT} states, about {_radius_bytes(RADIUS_STATE_LIMIT)} bytes"
         )
-    letters = [_preimage_runs(aut.letter(c), n) for c in range(aut.k)]
-    seen = np.zeros(n * n, dtype=bool)
-    unseen = n * (n - 1) // 2
-    level, radius = None, 0
+    maps = [aut.letter(c) for c in range(aut.k)]
+    letters = [_preimage_runs(t, n) for t in maps]
+    rows = max(1, _PULL_ROWS_BYTES // n)
+    seen = np.zeros((n, n), dtype=bool)
+    np.fill_diagonal(seen, True)
+    pairs = unseen = n * (n - 1) // 2
+    level, radius = None, 0  # the codes of the last level; None: the diagonal
+    front = None  # while pulling: the last level as a symmetric matrix
     while unseen:
-        parts = [np.empty(0, dtype=np.int64)]
-        for part in _preimage_pairs(letters, level, n):
-            part = part[~seen[part]]
-            seen[part] = True
-            parts.append(part)
-        level = np.concatenate(parts)
-        if not level.size:
+        if front is None:
+            pushed = _push_level(letters, level, seen, _PULL_SHARE * pairs)
+            if pushed is None:
+                front, new = _level_matrix(level, n), np.empty((n, n), dtype=bool)
+            level = pushed
+        if front is None:
+            size = level.size
+        else:
+            size = _pull_level(maps, front, seen, new, rows)
+            front, new = new, front
+        if not size:
             return math.inf
-        unseen -= level.size
+        unseen -= size
         radius += 1
+        if front is not None and size < _PUSH_SHARE * pairs:
+            new = None
+            level = np.flatnonzero(front)
+            front = None
+            level = level[level // n < level % n]
     return radius
 
 

@@ -1,4 +1,5 @@
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -146,6 +147,20 @@ def test_automaton_immutable():
         aut.table[0, 0] = 1
     with pytest.raises(ValueError):
         aut.letter(0)[0] = 1
+
+
+def test_automaton_stores_its_transitions_once():
+    table = np.array([[1, 0], [2, 2], [0, 1]])
+    aut = Automaton(table)
+    table[0, 0] = 2  # the automaton holds its own copy
+    assert aut.table.tolist() == [[1, 0], [2, 2], [0, 1]]
+    for c in range(2):
+        assert aut.letter(c).flags.c_contiguous
+        assert np.shares_memory(aut.letter(c), aut.table)
+        assert aut.letter(c).tolist() == aut.table[:, c].tolist()
+    back = pickle.loads(pickle.dumps(aut))
+    assert back == aut and back.table.tolist() == aut.table.tolist()
+    assert back.letter(1).tolist() == [0, 2, 1]
 
 
 def test_automaton_letter_out_of_range():

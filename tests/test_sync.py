@@ -387,6 +387,13 @@ def test_radius_capacity_guard():
         all_pairs_merge_radius(aut)
 
 
+def test_radius_capacity_error_names_its_bytes():
+    # 3.5 n^2 bytes, README "Capacity guards"
+    with pytest.raises(CapacityError, match="needs about 1400140003 bytes at 20001 states; "
+                                            "it is capped at 20000 states, about 1400000000 bytes"):
+        all_pairs_merge_radius(permutation_automaton(20_001))
+
+
 def test_radius_equals_forward_search_maximum(rng):
     cases = []
     for k in (1, 2, 3):
@@ -429,6 +436,41 @@ def test_radius_and_ball_do_not_depend_on_the_slice_size(rng, monkeypatch):
     for size in (1, 3, 64):
         monkeypatch.setattr(sync, "_LEVEL_SLICE", size)
         assert results() == expected
+
+
+def test_radius_does_not_depend_on_the_direction(rng, monkeypatch):
+    from synchrolab import sync
+
+    auts = [sample_uniform_automaton(int(rng.integers(2, 80)), int(rng.integers(1, 4)), rng) for _ in range(12)]
+    n = 40
+    half = np.arange(n) % 2  # two preimage sets of n/2 states: one pair spawns n^2/4 pairs
+    auts += [Automaton(np.stack([half, rng.integers(0, n, n)], axis=1)), constant_automaton(n)]
+    auts += [cerny_automaton(m) for m in range(2, 21)]
+    expected = [all_pairs_merge_radius(aut) for aut in auts]
+    assert expected[-19:] == [m * (m - 1) // 2 for m in range(2, 21)]
+    # push throughout; pull throughout; and a switch before every level
+    for pull_share, push_share in ((math.inf, 0), (-1, 0), (-1, math.inf)):
+        monkeypatch.setattr(sync, "_PULL_SHARE", pull_share)
+        monkeypatch.setattr(sync, "_PUSH_SHARE", push_share)
+        assert [all_pairs_merge_radius(aut) for aut in auts] == expected
+
+
+@pytest.mark.parametrize("letter", ["half", "constant"])
+def test_radius_memory_on_degenerate_letters(letter):
+    # a letter sending half the states to 0 and half to 1, or all to 0:
+    # one pair of states spawns n^2/4 or n^2/2 pairs
+    from synchrolab.sync import _radius_bytes
+
+    n = 1024
+    first = np.arange(n) % 2 if letter == "half" else np.zeros(n, dtype=np.int64)
+    aut = Automaton(np.stack([first, sample_uniform_automaton(n, 1, Seed(7).stream(1)).letter(0)], axis=1))
+    tracemalloc.start()
+    try:
+        all_pairs_merge_radius(aut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _radius_bytes(n) <= 5 * n * n
 
 
 def test_radius_memory_is_under_the_documented_bound():
