@@ -289,24 +289,67 @@ def apply_word(aut: Automaton, w: Word, x: int) -> int:
     return x
 
 
-def _image_members(aut: Automaton, letters: Iterable[int], members: np.ndarray) -> np.ndarray:
-    """Sorted unique image of members under letters, which must be in range.
+def _state_dtype(n: int) -> type:
+    """int32 while the states [0, n) fit in it, else int64."""
+    return np.int32 if n < 2**31 else np.int64
 
-    Each letter gathers t = succ[members] and drops duplicates without a
-    sort: slot[t] = positions leaves in slot[v] exactly one of the positions
-    written to it, whichever numpy keeps, so t[slot[t] == positions] holds
-    each value once, in O(|t|).  The one sort comes at the end; an empty
-    word returns members itself.
+
+def _power(succ: np.ndarray, t: int) -> np.ndarray:
+    """The successor array of t >= 1 applications of succ, by binary
+    powering: t.bit_length() - 1 squarings and popcount(t) - 1 compositions,
+    each one gather of n entries (mode="clip" skips the bounds check; every
+    entry is a state).  States are held as int32 while they fit, and at
+    most three such arrays are live at once."""
+    base = succ.astype(_state_dtype(succ.size))
+    out = None
+    while True:
+        if t & 1:
+            out = base if out is None else base.take(out, mode="clip")
+        t >>= 1
+        if not t:
+            return out
+        base = base.take(base, mode="clip")
+
+
+def _runs(letters: Iterable[int]) -> list[tuple[int, int]]:
+    """The word as its runs of one letter, (letter, count) in order."""
+    return [(c, len(list(run))) for c, run in itertools.groupby(letters)]
+
+
+def _image_members(aut: Automaton, runs: Iterable[tuple[int, int]], members: np.ndarray) -> np.ndarray:
+    """Sorted unique image of members under a word given as its runs
+    (letter c, count t), with letters in range and counts non-negative.
+
+    A run steps letter by letter: each letter gathers img = succ[cur] and
+    drops duplicates without a sort: slot[img] = positions leaves in slot[v]
+    exactly one of the positions written to it, whichever numpy keeps, so
+    img[slot[img] == positions] holds each value once, in O(|img|).  A run
+    whose steps could touch more entries than powering,
+    t·|cur| > n·t.bit_length(), is instead one such gather of c's t-th
+    power (_power).  The last power
+    built is kept for the rest of the call, keyed by (c, t), so repeated
+    blocks of a letter share it whatever the size of the set.  Slots and
+    positions are int32 while the states fit.  The one sort comes at the
+    end; an empty word or set returns members itself.
     """
-    slot = np.empty(aut.n, dtype=np.int64)
-    positions = np.arange(members.size, dtype=np.int64)
+    n = aut.n
+    slot = np.empty(n, dtype=_state_dtype(n))
+    positions = np.arange(members.size, dtype=slot.dtype)
     cur = members
-    for c in letters:
-        t = aut.letter(c)[cur]
-        pos = positions[:t.size]
-        slot[t] = pos
-        cur = t[slot[t] == pos]
-    return members if cur is members else np.sort(cur)
+    key = power = None
+    for c, t in runs:
+        if not cur.size:
+            break
+        if (c, t) != key and t * cur.size > n * t.bit_length():
+            power = None  # at most one power is held
+            key, power = (c, t), _power(aut.letter(c), t)
+        steps = [power] if (c, t) == key else itertools.repeat(aut.letter(c), t)
+        for succ in steps:
+            img = succ[cur]
+            pos = positions[:img.size]
+            slot[img] = pos
+            cur = img[slot[img] == pos]
+    return members if cur is members else np.sort(cur).astype(np.int64, copy=False)
 
 
 def image(aut: Automaton, w: Word, A: StateSet) -> StateSet:
@@ -316,7 +359,7 @@ def image(aut: Automaton, w: Word, A: StateSet) -> StateSet:
             f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
         )
     _check_word(aut, w)
-    return StateSet._from_sorted_unique(aut.n, _image_members(aut, w, A.members))
+    return StateSet._from_sorted_unique(aut.n, _image_members(aut, _runs(w), A.members))
 
 
 def is_reset_word(aut: Automaton, w: Word) -> bool:
@@ -325,7 +368,8 @@ def is_reset_word(aut: Automaton, w: Word) -> bool:
 
 
 def iterate_unary_image(aut: Automaton, letter: int, t: int, A: StateSet) -> StateSet:
-    """Image of A under t repetitions of one letter, image(aut, letter^t, A)."""
+    """Image of A under t repetitions of one letter, image(aut, letter^t, A),
+    as one run: a long run costs O(n log t), never t set steps."""
     letter = _as_index(letter, "letter")
     t = _as_index(t, "repetition count")
     if t < 0:
@@ -335,7 +379,7 @@ def iterate_unary_image(aut: Automaton, letter: int, t: int, A: StateSet) -> Sta
             f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
         )
     aut.letter(letter)  # range check
-    members = _image_members(aut, itertools.repeat(letter, t), A.members)
+    members = _image_members(aut, [(letter, t)], A.members)
     return StateSet._from_sorted_unique(aut.n, members)
 
 

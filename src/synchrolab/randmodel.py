@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, _preimage_runs, _sorted_unique
+from .core import Automaton, StateSet, _power, _preimage_runs, _sorted_unique
 from .errors import CapacityError, InvalidInputError
 
 PROB_SUM_TOL = 1e-12
@@ -225,11 +225,9 @@ def cyclic_states(g: FunctionalGraph) -> StateSet:
     A walk is on its cycle after at most n - 1 steps, and each cycle vertex
     is the m-th successor of some vertex of its own cycle, so for m >= n - 1
     the image of f^m is exactly the set of cyclic vertices.  f^(2^j) takes
-    j = ceil(log2 n) squarings of the successor array (pointer doubling).
+    j = ceil(log2 n) squarings of the successor array (core._power).
     """
-    f = g.succ
-    for _ in range((g.n - 1).bit_length()):
-        f = f[f]
+    f = _power(g.succ, 1 << (g.n - 1).bit_length())
     return StateSet._from_sorted_unique(g.n, _sorted_unique(f))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, Word, _first_of_runs, _image_members, _preimage_runs, _sorted_unique
+from .core import Automaton, StateSet, Word, _first_of_runs, _image_members, _preimage_runs, _runs, _sorted_unique
 from .core import image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
@@ -622,7 +622,7 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
         if res is None:
             raise NotSynchronizableError((int(cur[0]), int(cur[1])))
         _label, word = res
-        cur = _image_members(aut, word, cur)
+        cur = _image_members(aut, _runs(word), cur)
         out.extend(word)
     return Word(out)
 

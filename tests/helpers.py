@@ -26,6 +26,23 @@ def chain_automaton() -> Automaton:
     return Automaton([[1], [2], [2]])
 
 
+def unary_orbit_image(succ, t: int, members) -> set[int]:
+    """Plain-Python image of members under t steps of one successor map, for
+    any t: each state walks until it meets a state of its walk again, and a
+    t past the walk is read off the cycle at (t - tail) mod the cycle length."""
+    succ = [int(x) for x in succ]
+    out = set()
+    for x in members:
+        walk, index = [], {}
+        while x not in index:
+            index[x] = len(walk)
+            walk.append(x)
+            x = succ[x]
+        tail = index[x]
+        out.add(walk[t] if t < len(walk) else walk[tail + (t - tail) % (len(walk) - tail)])
+    return out
+
+
 def reference_dfa_text(aut: Automaton) -> str:
     """Plain-Python twin of synchrolab.write_dfa: the header line, then one
     line per row with its entries joined by single spaces."""

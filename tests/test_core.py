@@ -1,4 +1,5 @@
 import io
+import math
 import pickle
 
 import numpy as np
@@ -11,20 +12,25 @@ from helpers import (
     constant_automaton,
     permutation_automaton,
     reference_dfa_text,
+    unary_orbit_image,
 )
 from synchrolab import (
     Automaton,
+    FunctionalGraph,
     InvalidInputError,
     StateSet,
     Word,
     apply_word,
+    cyclic_states,
     image,
     is_reset_word,
     iterate_unary_image,
+    phase1_word_interleaved,
     read_dfa,
     sample_uniform_automaton,
     write_dfa,
 )
+from synchrolab.core import _power
 
 
 # ---------------------------------------------------------------------
@@ -292,6 +298,34 @@ def test_iterate_matches_repeated_letter_image_on_any_set(data):
     assert iterate_unary_image(aut, c, t, A) == image(aut, Word([c] * t), A)
 
 
+def test_image_of_long_runs_matches_per_state_application(rng):
+    # Runs long enough to be powered, on the full set and on subsets: a^t b^t
+    # has two runs of equal count, so a power reused across letters would
+    # show, and the phase-1 word's a-blocks share one power on a shrinking set.
+    for n in (1, 2, 17, 300, 2000):
+        aut = sample_uniform_automaton(n, 2, rng)
+        block = math.isqrt(n - 1) + 1
+        words = [Word([0] * t + [1] * t) for t in (block, 2 * block + 1, 3 * block)]
+        if n > 1:
+            words.append(phase1_word_interleaved(n))
+        for A in (StateSet.full(n), StateSet(n, rng.integers(0, n, size=n // 3 + 1))):
+            for w in words:
+                assert image(aut, w, A) == StateSet(n, {apply_word(aut, w, x) for x in A})
+
+
+@pytest.mark.parametrize("kind", ["random", "constant", "permutation"])
+def test_power_is_the_t_fold_composition(rng, kind):
+    for n in (1, 2, 5, 33, 64):
+        succ = {"random": rng.integers(0, n, size=n),
+                "constant": np.full(n, n // 2),
+                "permutation": rng.permutation(n)}[kind]
+        expected = np.arange(n)
+        for t in range(1, 3 * n + 1):
+            expected = succ[expected]
+            got = _power(succ, t)
+            assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
 def test_image_result_is_sorted_unique_read_only(rng):
     for n, k in ((1, 1), (7, 2), (2000, 2), (2000, 3)):
         aut = sample_uniform_automaton(n, k, rng)
@@ -359,6 +393,19 @@ def test_iterate_agrees_with_repeated_letter_word(rng):
         c = int(rng.integers(0, 2))
         full = StateSet.full(n)
         assert iterate_unary_image(aut, c, t, full) == image(aut, Word([c] * t), full)
+
+
+@_hypothesis
+@given(st.data())
+def test_iterate_any_count_matches_the_orbit_of_each_state(data):
+    # 10^12 set steps would run for weeks: a run is powered in O(n log t).
+    aut = data.draw(automata())
+    n = aut.n
+    c = data.draw(st.integers(0, aut.k - 1))
+    A = StateSet(n, data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    for t in (2**40, 10**12 + 7):
+        assert set(iterate_unary_image(aut, c, t, A)) == unary_orbit_image(aut.letter(c), t, A)
+        assert iterate_unary_image(aut, c, t, StateSet.full(n)) == cyclic_states(FunctionalGraph(aut.letter(c)))
 
 
 def test_iterate_rejects_negative_count():
