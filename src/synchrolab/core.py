@@ -256,6 +256,7 @@ class Automaton:
 
     def letter(self, c: int) -> np.ndarray:
         """Successor array of letter c (length n, read-only)."""
+        c = _as_index(c, "letter")
         if not 0 <= c < self.k:
             raise InvalidInputError(f"letter {c} out of range [0, {self.k})")
         return self._rows[c]
@@ -389,7 +390,7 @@ def cerny_automaton(n: int) -> Automaton:
     Letter 'a' is the cyclic shift x -> x+1 (mod n); letter 'b' moves 0 to 1
     and fixes everything else.  Its shortest reset word has length (n-1)^2.
     """
-    n = int(n)
+    n = _as_index(n, "state count")
     if n < 2:
         raise InvalidInputError("C_n needs at least two states")
     table = np.empty((n, 2), dtype=np.int64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, _power, _preimage_runs, _sorted_unique
+from .core import Automaton, StateSet, _as_index, _as_int_array, _power, _preimage_runs, _sorted_unique
 from .errors import CapacityError, InvalidInputError
 
 PROB_SUM_TOL = 1e-12
@@ -34,14 +34,14 @@ class Seed:
     master: int
 
     def __post_init__(self):
-        if not 0 <= int(self.master) < 2**64:
+        if not 0 <= _as_index(self.master, "master seed") < 2**64:
             raise InvalidInputError("master seed must be an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.master)))
 
     def stream(self, index: int) -> np.random.Generator:
-        index = int(index)
+        index = _as_index(index, "stream index")
         if index < 0:
             raise InvalidInputError("stream index must be non-negative")
         seq = np.random.SeedSequence(self.master, spawn_key=(index,))
@@ -53,7 +53,7 @@ def _as_generator(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, Seed):
         return seed.generator()
-    return Seed(int(seed)).generator()
+    return Seed(_as_index(seed, "seed")).generator()
 
 
 class ProbVector:
@@ -75,7 +75,7 @@ class ProbVector:
 
     @classmethod
     def uniform(cls, n: int) -> "ProbVector":
-        n = int(n)
+        n = _as_index(n, "vertex count")
         if n < 1:
             raise InvalidInputError("need at least one vertex")
         return cls(np.full(n, 1.0 / n))
@@ -105,7 +105,7 @@ class FunctionalGraph:
     """Digraph with exactly one out-edge per vertex (a unary automaton)."""
 
     def __init__(self, succ):
-        arr = np.asarray(succ, dtype=np.int64)
+        arr = _as_int_array(succ, "successors")
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInputError("successor array must be 1-D and nonempty")
         n = arr.size
@@ -179,7 +179,7 @@ class ExtinctionSequence:
 
 def extinction_sequence(k_max: int) -> ExtinctionSequence:
     """q_0..q_{k_max} by the recurrence q_{k+1} = exp(-(1 - q_k)), q_0 = 0."""
-    k_max = int(k_max)
+    k_max = _as_index(k_max, "k_max")
     if k_max < 0:
         raise InvalidInputError("k_max must be non-negative")
     q = np.empty(k_max + 1)
@@ -191,7 +191,7 @@ def extinction_sequence(k_max: int) -> ExtinctionSequence:
 
 def sample_uniform_automaton(n: int, k: int = 2, seed=0) -> Automaton:
     """Automaton with all n*k targets drawn independently uniform on [0, n)."""
-    n, k = int(n), int(k)
+    n, k = _as_index(n, "state count"), _as_index(k, "letter count")
     if n < 1:
         raise InvalidInputError("need at least one state")
     if k < 1:
@@ -234,7 +234,7 @@ def cyclic_states(g: FunctionalGraph) -> StateSet:
 def survival_probability(n: int, t: int) -> float:
     """Probability prod_{i=1}^{t-1} (1 - i/n) that a uniform successor walk
     has not yet closed a cycle after t steps; 1 for t <= 1, 0 for t > n."""
-    n, t = int(n), int(t)
+    n, t = _as_index(n, "vertex count"), _as_index(t, "step count")
     if n < 1:
         raise InvalidInputError("need at least one vertex")
     if t < 0:
@@ -278,7 +278,7 @@ def check_bernoulli_inequality(a: int, b: int, x: float) -> bool:
     Requires integers 0 <= a <= b and a real 0 < x <= 1; with b = 0 both
     sides are 1.
     """
-    a, b = int(a), int(b)
+    a, b = _as_index(a, "a"), _as_index(b, "b")
     x = float(x)
     if a < 0 or b < 0 or a > b:
         raise InvalidInputError("need integers 0 <= a <= b")
@@ -306,7 +306,7 @@ def distance_to_set(g: FunctionalGraph, targets) -> dict[int, int]:
             )
         members = targets.members
     else:
-        members = _sorted_unique(np.asarray(list(targets), dtype=np.int64))
+        members = _sorted_unique(_as_int_array(list(targets), "targets"))
         if members.size and (members[0] < 0 or members[-1] >= g.n):
             raise InvalidInputError(f"targets must lie in [0, {g.n})")
     if members.size == 0:

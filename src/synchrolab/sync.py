@@ -5,16 +5,20 @@ oracle over the power set.
 A pair of states {u, v}, u < v, has one encoding everywhere: the canonical
 int64 code u * n + v.
 
+The forward pair search has one level step (_next_level): a level's
+children, each kept once with its least (source label, letter, parent).
 Greedy shares one merge ball between its rounds: the pairs within r letters
 of the diagonal, found once by a reverse level BFS over the letters'
-preimages.  A round's forward search then stops r levels short of the
-diagonal and finishes its word inside the ball, with the word of the search
-without a ball (r = 0).  The all-pairs radius is the same reverse BFS run
-to the end, direction-optimising as in Beamer, Asanovic and Patterson
-(SC 2012): it pushes a sparse level with the same level step, and pulls a
-dense one, each pair looking up its images in n x n bool matrices of the
-level and of the pairs seen.  The push step's counts, known before it
-spawns a pair, decide which.
+preimages and kept as their sorted keys code << 7 | distance.  A round's
+search stops r levels short of the diagonal and finishes its word inside
+the ball with the same step, with the word of the search without a ball
+(r = 0).  The search and the power-set oracle store each node's parent as
+letter * width + position and rebuild words with _reconstruct_word.  The
+all-pairs radius is the same reverse BFS run to the end, direction-
+optimising as in Beamer, Asanovic and Patterson (SC 2012): it pushes a
+sparse level with the ball's level step, and pulls a dense one, each pair
+looking up its images in n x n bool matrices of the level and of the pairs
+seen.  The push step's counts, known before it spawns a pair, decide which.
 """
 
 from __future__ import annotations
@@ -24,15 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, Word, _first_of_runs, _image_members, _preimage_runs, _runs, _sorted_unique
+from .core import Automaton, StateSet, Word, _as_index, _first_of_runs, _image_members, _preimage_runs, _runs, _sorted_unique
 from .core import image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
 # Product space guards: the all-pairs radius holds at most three n x n
 # bool matrices and a sparse level (_radius_bytes); the wide BFS keeps
 # every visited pair code in memory.  Greedy's merge ball holds at most
-# _BALL_CODES * n codes (r = 3 for two letters, about 7n codes) at 13 to 17
-# bytes each: the int64 code, the int8 distance and 4 to 8 lookup flags.
+# _BALL_CODES * n pairs (r = 3 for two letters, about 7n pairs) at 12 to 16
+# bytes each: the int64 key code << 7 | distance and 4 to 8 lookup flags.
 RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
 _BALL_CODES = 8
@@ -45,7 +49,8 @@ _BALL_AFTER_VISITS = 4
 _BALL_MIN_SEARCH = 4096
 
 # The reverse BFS steps through a level this many pairs at a time, and makes
-# their spawned pairs in arrays of about this many codes: small temporaries.
+# their spawned pairs in arrays of about this many codes; the ball marks its
+# lookup flags this many keys at a time: small temporaries.
 _LEVEL_SLICE = 1 << 14
 
 # The all-pairs radius pulls a level instead of pushing it when the push
@@ -64,7 +69,7 @@ SUBSET_STATE_LIMIT = 24
 
 def phase1_word_unary(n: int) -> Word:
     """One letter repeated ceil(2 sqrt(n ln n)) times."""
-    n = int(n)
+    n = _as_index(n, "state count")
     if n < 2:
         raise InvalidInputError("need at least two states")
     reps = math.ceil(2.0 * math.sqrt(n * math.log(n)))
@@ -74,7 +79,7 @@ def phase1_word_unary(n: int) -> Word:
 def phase1_word_interleaved(n: int) -> Word:
     """A block of ceil(sqrt(n)) a's, then ceil(sqrt(log2 n)) repetitions of
     a single b followed by another such a-block."""
-    n = int(n)
+    n = _as_index(n, "state count")
     if n < 2:
         raise InvalidInputError("need at least two states")
     block = math.isqrt(n)
@@ -91,7 +96,7 @@ def phase1_word_interleaved(n: int) -> Word:
 def default_pair_search_limit(n: int) -> int:
     """Depth budget ceil(6 log2 n) + 8 for the forward pair search; generous
     slack over the typical 3 log2 n merge radius avoids false negatives."""
-    n = int(n)
+    n = _as_index(n, "state count")
     if n < 1:
         raise InvalidInputError("need at least one state")
     return math.ceil(6.0 * math.log2(n)) + 8 if n > 1 else 8
@@ -134,6 +139,9 @@ def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
 
 
 def _reconstruct_word(steps, pos: int, final_letter: int) -> Word:
+    """The word ending in final_letter from node pos of the last level;
+    steps holds per level each node's parent index letter * width +
+    position and the width of the level before."""
     letters_rev = [final_letter]
     for index, width in reversed(steps):
         letter, pos = divmod(int(index[pos]), width)
@@ -160,25 +168,25 @@ def _canonical_children(letter_maps, codes: np.ndarray, n: int):
 
 
 class _MergeBall:
-    """The pairs within `radius` letters of the diagonal: their canonical
-    codes u * n + v (u < v), sorted, with each pair's merge distance.
+    """The pairs within `radius` letters of the diagonal, as the sorted keys
+    code << 7 | distance of their canonical codes u * n + v (u < v).
 
     Radius 0 is no ball: the search then finds merges by trying letters.
-    A ball of positive radius with no codes means no pair merges at all.
-    A table of 4 to 8 flags per code, indexed by a multiplicative hash of
+    A ball of positive radius with no keys means no pair merges at all.
+    A table of 4 to 8 flags per key, indexed by a multiplicative hash of
     the code, rules most codes out of a lookup before the binary search.
     """
 
     _HASH = np.uint64(0x9E3779B97F4A7C15)  # about 2^64 / golden ratio
 
-    def __init__(self, codes: np.ndarray, dist: np.ndarray, radius: int):
-        self.codes = codes
-        self.dist = dist
+    def __init__(self, keys: np.ndarray, radius: int):
+        self.keys = keys
         self.radius = radius
-        bits = max(int(4 * codes.size).bit_length(), 1)
+        bits = max(int(4 * keys.size).bit_length(), 1)
         self._shift = np.uint64(64 - bits)
         self._marked = np.zeros(1 << bits, dtype=bool)
-        self._marked[self._slot(codes)] = True
+        for s in range(0, keys.size, _LEVEL_SLICE):
+            self._marked[self._slot(keys[s:s + _LEVEL_SLICE] >> 7)] = True
 
     def _slot(self, codes: np.ndarray) -> np.ndarray:
         slot = codes.view(np.uint64) * self._HASH
@@ -190,15 +198,19 @@ class _MergeBall:
         dist = np.zeros(codes.size, dtype=np.int8)
         maybe = np.flatnonzero(self._marked[self._slot(codes)])
         if maybe.size:
-            codes = codes[maybe]
-            pos = np.searchsorted(self.codes, codes)
-            pos[pos == self.codes.size] = 0
-            found = self.codes[pos] == codes
-            dist[maybe[found]] = self.dist[pos[found]]
+            # A code's key is the least key at or above code << 7, and
+            # differs from it only in the distance bits.
+            codes = codes[maybe] << 7
+            pos = np.searchsorted(self.keys, codes)
+            pos[pos == self.keys.size] = 0
+            keys = self.keys[pos]
+            codes ^= keys
+            found = codes < 0x80
+            dist[maybe[found]] = keys[found] & 0x7F
         return dist
 
 
-_NO_BALL = _MergeBall(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 0)
+_NO_BALL = _MergeBall(np.empty(0, dtype=np.int64), 0)
 
 
 def _spawn_run(order, sx, cx, sy, cy):
@@ -307,38 +319,25 @@ def _merge_ball(aut: Automaton, radius: int = np.iinfo(np.int8).max, max_codes=m
         if not level.size:
             break
     level = parts = None
-    dist = keys.astype(np.int8)
-    dist &= 0x7F
-    keys >>= 7
-    return _MergeBall(keys, dist, radius)
+    return _MergeBall(keys, radius)
 
 
-def _descend(letter_maps, n: int, ball: _MergeBall, codes: np.ndarray, at: np.ndarray, length: int):
-    """The rest of a merge word from the nodes codes[at], which all merge in
-    `length` letters: each step keeps the children one letter closer to the
-    diagonal, a child reached twice keeping its least (letter, parent code).
-    Returns the steps in _merge_search's format, the final letter (the least
-    (letter, code) that merges) and its node's position in the last step.
-    """
-    steps = []
-    width = codes.size
-    cur = codes[at]
-    for remaining in range(length - 1, 0, -1):
-        cand, _diagonal = _canonical_children(letter_maps, cur, n)
-        index = (np.arange(len(letter_maps), dtype=np.int64)[:, None] * width + at).ravel()
-        keep = ball.distance(cand) == remaining
-        cand = cand[keep]
-        index = index[keep]
-        order = np.argsort(cand, kind="stable")
-        cand = cand[order]
-        first = _first_of_runs(cand)
-        cur = cand[first]
-        steps.append((index[order][first], width))
-        width = cur.size
-        at = np.arange(width)
-    # The first diagonal child has the least index letter * width + position.
-    letter, pos = divmod(int(np.flatnonzero(_canonical_children(letter_maps, cur, n)[1])[0]), cur.size)
-    return steps, letter, int(at[pos])
+def _next_level(cand_codes: np.ndarray, labels: np.ndarray):
+    """The distinct children of a level, sorted: cand_codes[c * width + i]
+    is node i's child under letter c, and a child keeps its least
+    (labels[i], c * width + i), so ties go by letter, then parent, whether
+    or not the sort is stable.  Returns the codes, labels and indices
+    c * width + i.  Labels stay below the source count and indices below k
+    times the visit guard, so label << shift | index fits in int64."""
+    order = np.argsort(cand_codes)
+    cand_codes = cand_codes[order]
+    starts = np.flatnonzero(_first_of_runs(cand_codes))
+    shift = cand_codes.size.bit_length()
+    keys = np.tile(labels, cand_codes.size // labels.size)[order]
+    keys <<= shift
+    keys |= order
+    keys = np.minimum.reduceat(keys, starts)
+    return cand_codes[starts], keys >> shift, keys & ((1 << shift) - 1)
 
 
 def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
@@ -355,17 +354,18 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
 
     With a merge ball of radius r the BFS stops at the first level L with
     a node in the ball: the closest sources merge in D = L + (least ball
-    distance there) letters, and the word continues inside the ball from
-    the nodes of the smallest such source label.  Every node on a shortest
-    merging path of that source is first reached at its level with its
-    label, so the word is the one the search without a ball returns; that
-    search is the case r = 0, where a node is known to be at distance 1
-    once some letter merges it.
+    distance there) letters.  It cuts that level to the nodes of the
+    smallest such label and steps on inside the ball, keeping the children
+    one letter closer to the diagonal.  Every node on a shortest merging
+    path of that source is first reached at its level with its label, so
+    the word is the one the search without a ball returns; that search is
+    the case r = 0, where a node is known to be at distance 1 once some
+    letter merges it.
     """
     n = aut.n
     k = aut.k
     letter_maps = [aut.letter(c) for c in range(k)]
-    if ball.radius and not ball.codes.size:
+    if ball.radius and not ball.keys.size:
         return None
     codes = src_x.astype(np.int64) * n + src_y.astype(np.int64)
     labels = np.arange(codes.size, dtype=np.int64)
@@ -383,55 +383,53 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
             # A pair with a child on the diagonal merges in one letter.
             near = diagonal.reshape(k, -1).any(axis=0) if diagonal.any() else None
         if near is not None:
-            hit = np.flatnonzero(near)
-            length = near[hit].astype(np.int64)
-            best = length.min()
-            if max_len is not None and len(steps) + best > max_len:
-                return None
-            hit = hit[length == best]
-            label = labels[hit].min()
-            more, letter, pos = _descend(letter_maps, n, ball, codes, hit[labels[hit] == label], int(best))
-            if visits is not None:
-                visits.append(visited.size)
-            return int(label), _reconstruct_word(steps + more, pos, letter)
-
-        # One entry per code, keeping the smallest (label, candidate index);
-        # the index letter * width + parent orders ties by (letter, parent),
-        # so the group minimum does not depend on the sort being stable.
-        # Labels stay below the source count and indices below k times the
-        # visit guard, so the key label << shift | index fits in int64.
-        order = np.argsort(cand_codes)
-        cand_codes = cand_codes[order]
-        starts = np.flatnonzero(_first_of_runs(cand_codes))
-        shift = cand_codes.size.bit_length()
-        keys = np.tile(labels, k)[order]
-        keys <<= shift
-        keys |= order
-        keys = np.minimum.reduceat(keys, starts)
-        codes = cand_codes[starts]
+            break
+        width = codes.size
+        codes, labels, index = _next_level(cand_codes, labels)
         fresh = ~_in_sorted(visited, codes)
         codes = codes[fresh]
         if codes.size == 0:
             return None
         if visited.size + codes.size > visit_limit:
-            raise CapacityError(
-                f"pair search visited more than {visit_limit} pairs"
-            )
-        width = labels.size
-        keys = keys[fresh]
-        labels = keys >> shift
-        steps.append((keys & ((1 << shift) - 1), width))
+            raise CapacityError(f"pair search visited more than {visit_limit} pairs")
+        steps.append((index[fresh], width))
+        labels = labels[fresh]
         # codes is sorted and disjoint from visited: the stable sort merges
         # the two runs in linear time.
         visited = np.sort(np.concatenate([visited, codes]), kind="stable")
-    return None
+    else:
+        return None
+
+    hit = np.flatnonzero(near)
+    length = near[hit].astype(np.int64)
+    best = int(length.min())
+    if max_len is not None and len(steps) + best > max_len:
+        return None
+    if visits is not None:
+        visits.append(visited.size)
+    hit = hit[length == best]
+    label = labels[hit].min()
+    hit = hit[labels[hit] == label]
+    codes, labels = codes[hit], labels[hit]
+    if steps:
+        index, width = steps[-1]
+        steps[-1] = index[hit], width
+    for remaining in range(best - 1, 0, -1):
+        width = codes.size
+        codes, labels, index = _next_level(_canonical_children(letter_maps, codes, n)[0], labels)
+        keep = ball.distance(codes) == remaining
+        codes, labels = codes[keep], labels[keep]
+        steps.append((index[keep], width))
+    # The first diagonal child has the least index letter * width + position.
+    letter, pos = divmod(int(np.flatnonzero(_canonical_children(letter_maps, codes, n)[1])[0]), codes.size)
+    return int(label), _reconstruct_word(steps, pos, letter)
 
 
 def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDistanceResult:
     """Length of a shortest word sending x and y to a common state, with a
     witness; math.inf when no merge exists within max_len letters (default
     budget default_pair_search_limit(n), math.inf searches to exhaustion)."""
-    x, y = int(x), int(y)
+    x, y = _as_index(x, "state"), _as_index(y, "state")
     n = aut.n
     if not (0 <= x < n and 0 <= y < n):
         raise InvalidInputError(f"states must lie in [0, {n})")
@@ -439,10 +437,10 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
         max_len = default_pair_search_limit(n)
     elif max_len == math.inf:
         max_len = None
-    elif not max_len >= 1:  # also -inf and nan, which int() cannot take
+    elif not max_len >= 1:  # also -inf and nan
         raise InvalidInputError("max_len must be positive")
     else:
-        max_len = int(max_len)
+        max_len = _as_index(max_len, "max_len")
     if x == y:
         return PairDistanceResult(0, Word())
     lo, hi = (x, y) if x < y else (y, x)
@@ -614,7 +612,10 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
             # answer, not a search too large to run.
             if all(np.bincount(aut.letter(c), minlength=aut.n).max() == 1 for c in range(aut.k)):
                 raise NotSynchronizableError((int(cur[0]), int(cur[1])))
-            raise CapacityError(f"{npairs} candidate pairs exceed the search budget")
+            raise CapacityError(
+                f"{npairs} candidate pairs exceed the search budget of {PAIR_VISIT_LIMIT} pairs "
+                "(PAIR_VISIT_LIMIT); no stuck pair is named, since only a search over those pairs could find one"
+            )
         if ball is _NO_BALL and sum(visits) >= max(_BALL_AFTER_VISITS * aut.n, _BALL_MIN_SEARCH * len(visits)):
             ball = _merge_ball(aut, max_codes=_BALL_CODES * aut.n)
         i, j = np.triu_indices(cur.size, k=1)
@@ -685,7 +686,7 @@ def exact_shortest_reset(aut: Automaton) -> Word | None:
     level = np.array([(1 << n) - 1], dtype=np.int64)
     visited[level] = True
     # Per level below the full set: each mask's candidate index
-    # position * k + letter into the level before.
+    # letter * width + position into the level before, and that width.
     parents = []
     while level.size:
         byte_ix = [(level >> (8 * j)) & 0xFF for j in range(chunks)]
@@ -696,22 +697,20 @@ def exact_shortest_reset(aut: Automaton) -> Word | None:
                 img |= tables[c, j][byte_ix[j]]
             cand[:, c] = img
         cand = cand.reshape(-1)
+        # Discovery order: the candidate position * k + letter.
         index = np.flatnonzero(~visited[cand])
         cand = cand[index]
         single = np.flatnonzero((cand & (cand - 1)) == 0)
         if single.size:
             pos, letter = divmod(int(index[single[0]]), k)
-            letters_rev = [letter]
-            for step in reversed(parents):
-                pos, letter = divmod(int(step[pos]), k)
-                letters_rev.append(letter)
-            return Word(reversed(letters_rev))
+            return _reconstruct_word(parents, pos, letter)
         # Keep each mask's first discovery: a stable sort puts it first
         # among its equals, and sorting the kept positions restores
         # discovery order.
         order = np.argsort(cand, kind="stable")
         keep = np.sort(order[_first_of_runs(cand[order])])
+        pos, letter = np.divmod(index[keep], k)
+        parents.append((letter * level.size + pos, level.size))
         level = cand[keep]
         visited[level] = True
-        parents.append(index[keep])
     return None

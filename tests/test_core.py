@@ -21,6 +21,7 @@ from synchrolab import (
     StateSet,
     Word,
     apply_word,
+    cerny_automaton,
     cyclic_states,
     image,
     is_reset_word,
@@ -75,11 +76,14 @@ def test_word_rejects_bad_input():
         lambda: Word([True, False]),
         lambda: True in StateSet(5, [1]),
         lambda: StateSet(True),
+        lambda: cerny_automaton(4.5),
+        lambda: constant_automaton(3).letter(True),
+        lambda: constant_automaton(3).letter(0.5),
     ],
     ids=["automaton", "stateset-list", "stateset-array", "stateset-mask", "stateset-n",
          "iterate-count", "iterate-letter", "word", "apply-word-state",
          "stateset-contains", "stateset-full-n", "word-bool", "stateset-contains-bool",
-         "stateset-bool-n"],
+         "stateset-bool-n", "cerny-n", "letter-bool", "letter"],
 )
 def test_non_integral_input_is_rejected_not_truncated(build):
     with pytest.raises(InvalidInputError):

@@ -45,6 +45,10 @@ def test_seed_validation():
         Seed(2**64)
     with pytest.raises(InvalidInputError):
         Seed(3).stream(-1)
+    # non-integral seeds and indices are rejected, not truncated
+    for bad in (lambda: Seed(1.5), lambda: Seed(True), lambda: Seed(1).stream(2.5)):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            bad()
 
 
 # ---------------------------------------------------------------------
@@ -65,6 +69,9 @@ def test_uniform_automaton_rejects_empty():
         sample_uniform_automaton(0, 2, Seed(0))
     with pytest.raises(InvalidInputError):
         sample_uniform_automaton(3, 0, Seed(0))
+    for n, k, seed in ((5.5, 2, 0), (True, 2, 0), (5, 2.5, 0), (5, 2, 1.5)):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            sample_uniform_automaton(n, k, seed)
 
 
 def test_uniform_automaton_frequencies_within_5_sigma():
@@ -112,6 +119,8 @@ def test_prob_vector_validation():
         ProbVector.from_json("{}")
     with pytest.raises(InvalidInputError):
         ProbVector.from_json("not json")
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        ProbVector.uniform(2.5)
 
 
 # ---------------------------------------------------------------------
@@ -163,6 +172,8 @@ def test_functional_graph_automaton_round_trip():
     assert FunctionalGraph.from_automaton(chain_automaton()) == g
     with pytest.raises(InvalidInputError):
         FunctionalGraph.from_automaton(sample_uniform_automaton(3, 2, Seed(0)))
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        FunctionalGraph([1.5, 0.2])
 
 
 # ---------------------------------------------------------------------
@@ -192,6 +203,9 @@ def test_survival_probability_input_validation():
         survival_probability(0, 0)
     with pytest.raises(InvalidInputError):
         survival_probability(4, -1)
+    for n, t in ((5.5, 2), (5, 2.5)):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            survival_probability(n, t)
 
 
 # ---------------------------------------------------------------------
@@ -289,6 +303,8 @@ def test_extinction_sequence_tail_decay_band():
 def test_extinction_sequence_validation():
     with pytest.raises(InvalidInputError):
         extinction_sequence(-1)
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        extinction_sequence(2.5)
     with pytest.raises(InvalidInputError):
         ExtinctionSequence([0.1, 0.2])
     with pytest.raises(InvalidInputError):
@@ -314,6 +330,9 @@ def test_bernoulli_inequality_validation():
         check_bernoulli_inequality(1, 2, 1.5)
     with pytest.raises(InvalidInputError):
         check_bernoulli_inequality(-1, 2, 0.5)
+    for a, b in ((0.5, 2), (1, 2.5)):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            check_bernoulli_inequality(a, b, 0.5)
 
 
 def test_bernoulli_inequality_random_triples(rng):
@@ -341,6 +360,9 @@ def test_distance_to_set_validation():
         distance_to_set(g, [])
     with pytest.raises(InvalidInputError):
         distance_to_set(g, [2])
+    for bad in ([0.5], [True]):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            distance_to_set(g, bad)
 
 
 def test_distance_to_set_matches_forward_walk_oracle(rng):

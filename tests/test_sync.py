@@ -32,6 +32,7 @@ from synchrolab import (
     sample_uniform_automaton,
     two_phase_synchronize,
 )
+from synchrolab.sync import default_pair_search_limit
 
 
 # ---------------------------------------------------------------------
@@ -48,6 +49,10 @@ def test_phase1_unary_lengths():
 def test_phase1_unary_rejects_small_n():
     with pytest.raises(InvalidInputError):
         phase1_word_unary(1)
+    # non-integral state counts are rejected, not truncated
+    for build in (phase1_word_unary, phase1_word_interleaved, default_pair_search_limit):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            build(5.5)
 
 
 def test_phase1_interleaved_examples():
@@ -112,6 +117,10 @@ def test_pair_merge_rejects_bad_states():
     for bad in (0, -math.inf, float("nan")):
         with pytest.raises(InvalidInputError, match="max_len must be positive"):
             pair_shortest_merge(constant_automaton(3), 1, 1, max_len=bad)
+    # non-integral states and budgets are rejected, not truncated
+    for x, y, max_len in ((0.5, 1, None), (0, True, None), (0, 1, 2.5)):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            pair_shortest_merge(constant_automaton(3), x, y, max_len=max_len)
 
 
 def merge_distance_by_enumeration(aut, x, y, limit):
@@ -267,6 +276,11 @@ def within(dist, r):
     return {code: d for code, d in dist.items() if d <= r}
 
 
+def ball_pairs(ball):
+    """{code: distance} of a merge ball, decoded from its keys code << 7 | d."""
+    return dict(zip((ball.keys >> 7).tolist(), (ball.keys & 0x7F).tolist()))
+
+
 def test_merge_ball_holds_the_pairs_within_its_radius(rng):
     from synchrolab.sync import _merge_ball
 
@@ -276,9 +290,9 @@ def test_merge_ball_holds_the_pairs_within_its_radius(rng):
         for r in range(1, 6):
             ball = _merge_ball(aut, r)
             assert ball.radius == r
-            assert ball.codes.dtype == np.int64 and ball.dist.dtype == np.int8
-            assert np.all(np.diff(ball.codes) > 0)
-            assert dict(zip(ball.codes.tolist(), ball.dist.tolist())) == within(dist, r)
+            assert ball.keys.dtype == np.int64
+            assert np.all(np.diff(ball.keys >> 7) > 0)
+            assert ball_pairs(ball) == within(dist, r)
             lookup = ball.distance(np.arange(aut.n * aut.n, dtype=np.int64))
             assert {int(c): int(lookup[c]) for c in np.flatnonzero(lookup)} == within(dist, r)
 
@@ -290,20 +304,20 @@ def test_merge_ball_code_cap_lowers_the_radius(rng):
         aut = sample_uniform_automaton(int(rng.integers(2, 41)), 2, rng)
         cap = int(rng.integers(0, 3 * aut.n))
         ball = _merge_ball(aut, 5, max_codes=cap)
-        assert ball.codes.size <= cap
-        assert dict(zip(ball.codes.tolist(), ball.dist.tolist())) == within(merge_distances(aut), ball.radius)
+        assert ball.keys.size <= cap
+        assert ball_pairs(ball) == within(merge_distances(aut), ball.radius)
     # every pair of a constant automaton merges in one letter: n(n-1)/2
     # codes, found once per letter
-    assert _merge_ball(constant_automaton(9), 3, max_codes=72).codes.size == 36
+    assert _merge_ball(constant_automaton(9), 3, max_codes=72).keys.size == 36
     ball = _merge_ball(constant_automaton(9), 3, max_codes=71)
-    assert ball.radius == 0 and ball.codes.size == 0
+    assert ball.radius == 0 and ball.keys.size == 0
 
 
 def test_merge_ball_of_permutation_automaton_is_empty(monkeypatch):
     from synchrolab import sync
 
     ball = sync._merge_ball(permutation_automaton(12, 3), 4)
-    assert ball.radius == 4 and ball.codes.size == 0
+    assert ball.radius == 4 and ball.keys.size == 0
     src = np.array([0, 2]), np.array([5, 7])
     assert sync._merge_search(permutation_automaton(12, 3), *src, ball=ball) is None
     # greedy with a ball from its first round still names the stuck pair
@@ -335,17 +349,23 @@ def test_merge_search_with_ball_matches_reference(rng):
             aut = sample_uniform_automaton(n, 2, rng)
         pairs = list(itertools.combinations(range(aut.n), 2))
         count = int(rng.integers(1, min(len(pairs), 20) + 1))
-        sources = [pairs[i] for i in np.sort(rng.choice(len(pairs), size=count, replace=False))]
-        src = np.array(sources, dtype=np.int64)
+        drawn = [pairs[i] for i in np.sort(rng.choice(len(pairs), size=count, replace=False))]
         for r in range(5):
             ball = _merge_ball(aut, r)
-            for max_len in (None, 1, 2, 3, 5):
-                expected = reference_merge_search(aut, sources, max_len)
-                res = _merge_search(aut, src[:, 0], src[:, 1], max_len=max_len, ball=ball)
-                if expected is None:
-                    assert res is None
-                else:
-                    assert res == (expected[0], Word(expected[1]))
+            # Sources from inside the ball hit it at level 0, before any
+            # step; several of them share the least distance.  Taking them
+            # evenly spaced draws nothing, so `drawn` sees the same stream.
+            inside = sorted(divmod(code, aut.n) for code in ball_pairs(ball))
+            inside = inside[::len(inside) // 12 + 1]
+            for sources in (drawn, inside) if inside else (drawn,):
+                src = np.array(sources, dtype=np.int64)
+                for max_len in (None, 1, 2, 3, 5):
+                    expected = reference_merge_search(aut, sources, max_len)
+                    res = _merge_search(aut, src[:, 0], src[:, 1], max_len=max_len, ball=ball)
+                    if expected is None:
+                        assert res is None
+                    else:
+                        assert res == (expected[0], Word(expected[1]))
 
 
 def test_greedy_builds_a_ball_and_keeps_the_reference_word(monkeypatch):
@@ -430,7 +450,7 @@ def test_radius_and_ball_do_not_depend_on_the_slice_size(rng, monkeypatch):
 
     def results():
         balls = [sync._merge_ball(aut, 4, max_codes=6 * aut.n) for aut in auts]
-        return [all_pairs_merge_radius(aut) for aut in auts], [(b.codes.tolist(), b.dist.tolist(), b.radius) for b in balls]
+        return [all_pairs_merge_radius(aut) for aut in auts], [(b.keys.tolist(), b.radius) for b in balls]
 
     expected = results()
     for size in (1, 3, 64):
@@ -521,8 +541,12 @@ def test_greedy_permutation_beyond_pair_budget_reports_stuck_pair():
 def test_greedy_pair_budget_guard():
     table = np.tile(np.arange(7000, dtype=np.int64).reshape(-1, 1), (1, 2))
     table[0, 0] = 1  # not a permutation: 0 and 1 merge under a
-    with pytest.raises(CapacityError, match="candidate pairs exceed the search budget"):
+    with pytest.raises(CapacityError, match="candidate pairs exceed the search budget") as exc:
         greedy_synchronize(Automaton(table), StateSet.full(7000))
+    assert str(exc.value) == (
+        "24496500 candidate pairs exceed the search budget of 20000000 pairs (PAIR_VISIT_LIMIT); "
+        "no stuck pair is named, since only a search over those pairs could find one"
+    )
 
 
 def test_greedy_rejects_empty_set():
