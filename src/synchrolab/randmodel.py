@@ -171,6 +171,10 @@ class ExtinctionSequence:
         return int(self._q.size)
 
     def __getitem__(self, k: int) -> float:
+        """q_k; negative k counts from the end, as for a list."""
+        k = _as_index(k, "extinction index")
+        if not -self._q.size <= k < self._q.size:
+            raise InvalidInputError(f"extinction index must lie in [{-self._q.size}, {self._q.size}), got {k}")
         return float(self._q[k])
 
     def __repr__(self) -> str:

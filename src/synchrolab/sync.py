@@ -12,13 +12,17 @@ of the diagonal, found once by a reverse level BFS over the letters'
 preimages and kept as their sorted keys code << 7 | distance.  A round's
 search stops r levels short of the diagonal and finishes its word inside
 the ball with the same step, with the word of the search without a ball
-(r = 0).  The search and the power-set oracle store each node's parent as
-letter * width + position and rebuild words with _reconstruct_word.  The
-all-pairs radius is the same reverse BFS run to the end, direction-
-optimising as in Beamer, Asanovic and Patterson (SC 2012): it pushes a
-sparse level with the ball's level step, and pulls a dense one, each pair
-looking up its images in n x n bool matrices of the level and of the pairs
-seen.  The push step's counts, known before it spawns a pair, decide which.
+(r = 0).  Once a round's image is large, greedy finds its closest pair
+from the images x(I) of the image under the words x of each length, with
+the ball pairs inside each x(I) listed from a row index over the ball's
+keys, and searches from that one pair.  The search and the power-set
+oracle store each node's parent as letter * width + position and rebuild
+words with _reconstruct_word.  The all-pairs radius is the same reverse
+BFS run to the end, direction-optimising as in Beamer, Asanovic and
+Patterson (SC 2012): it pushes a sparse level with the ball's level step,
+and pulls a dense one, each pair looking up its images in n x n bool
+matrices of the level and of the pairs seen.  The push step's counts,
+known before it spawns a pair, decide which.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ _BALL_CODES = 8
 # per-level overhead that the ball does not save.
 _BALL_AFTER_VISITS = 4
 _BALL_MIN_SEARCH = 4096
+
+# Once a merge ball exists, greedy finds the closest pair of an image of at
+# least _FINDER_MIN_IMAGE states from the images of the image
+# (_closest_source), while a level holds at most _FINDER_STATES * n states:
+# as int32, the level and the one built from it then stay within the bytes
+# of _BALL_CODES * n codes.  Otherwise the round runs the multi-source search.
+_FINDER_MIN_IMAGE = 16
+_FINDER_STATES = 8
 
 # The reverse BFS steps through a level this many pairs at a time, and makes
 # their spawned pairs in arrays of about this many codes; the ball marks its
@@ -167,6 +179,14 @@ def _canonical_children(letter_maps, codes: np.ndarray, n: int):
     return out, diagonal
 
 
+def _hash_slots(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Slots in [0, 2^bits) of non-negative int64 codes, by a multiplicative
+    hash: the top bits of code * (about 2^64 / golden ratio) mod 2^64."""
+    slot = codes.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    slot >>= np.uint64(64 - bits)
+    return slot.view(np.int64)
+
+
 class _MergeBall:
     """The pairs within `radius` letters of the diagonal, as the sorted keys
     code << 7 | distance of their canonical codes u * n + v (u < v).
@@ -177,26 +197,18 @@ class _MergeBall:
     the code, rules most codes out of a lookup before the binary search.
     """
 
-    _HASH = np.uint64(0x9E3779B97F4A7C15)  # about 2^64 / golden ratio
-
     def __init__(self, keys: np.ndarray, radius: int):
         self.keys = keys
         self.radius = radius
-        bits = max(int(4 * keys.size).bit_length(), 1)
-        self._shift = np.uint64(64 - bits)
-        self._marked = np.zeros(1 << bits, dtype=bool)
+        self._bits = max(int(4 * keys.size).bit_length(), 1)
+        self._marked = np.zeros(1 << self._bits, dtype=bool)
         for s in range(0, keys.size, _LEVEL_SLICE):
-            self._marked[self._slot(keys[s:s + _LEVEL_SLICE] >> 7)] = True
-
-    def _slot(self, codes: np.ndarray) -> np.ndarray:
-        slot = codes.view(np.uint64) * self._HASH
-        slot >>= self._shift
-        return slot.view(np.int64)
+            self._marked[_hash_slots(keys[s:s + _LEVEL_SLICE] >> 7, self._bits)] = True
 
     def distance(self, codes: np.ndarray) -> np.ndarray:
         """Merge distance of each code, 0 for codes outside the ball."""
         dist = np.zeros(codes.size, dtype=np.int8)
-        maybe = np.flatnonzero(self._marked[self._slot(codes)])
+        maybe = np.flatnonzero(self._marked[_hash_slots(codes, self._bits)])
         if maybe.size:
             # A code's key is the least key at or above code << 7, and
             # differs from it only in the distance bits.
@@ -211,6 +223,27 @@ class _MergeBall:
 
 
 _NO_BALL = _MergeBall(np.empty(0, dtype=np.int64), 0)
+
+
+def _stretches(counts: np.ndarray, total: int):
+    """Bounds (lo, hi) of the runs of positive counts whose sums end in one
+    stretch of _LEVEL_SLICE: a run's sum passes _LEVEL_SLICE only by its
+    first count."""
+    if total > _LEVEL_SLICE:
+        cuts = np.searchsorted(counts.cumsum(), np.arange(0, total, _LEVEL_SLICE), side="right")
+        cuts = cuts[_first_of_runs(cuts)]
+    else:
+        cuts = [0] if total else []
+    return zip(cuts, [*cuts[1:], counts.size])
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each positive count c in turn, as one array."""
+    ends = counts.cumsum()
+    out = np.arange(ends[-1], dtype=np.int64)
+    ends -= counts
+    out -= ends.repeat(counts)
+    return out
 
 
 def _spawn_run(order, sx, cx, sy, cy):
@@ -230,18 +263,9 @@ def _spawned_codes(run, n: int):
     the i whose codes end in one stretch of _LEVEL_SLICE codes: an array is
     longer only by the codes of its first i."""
     order, sx, sy, cy, m, total = run
-    if total > _LEVEL_SLICE:
-        cuts = np.searchsorted(m.cumsum(), np.arange(0, total, _LEVEL_SLICE), side="right")
-        cuts = cuts[_first_of_runs(cuts)]
-    else:
-        cuts = [0] if total else []
-    for lo, hi in zip(cuts, [*cuts[1:], m.size]):
+    for lo, hi in _stretches(m, total):
         c = m[lo:hi]
-        ends = c.cumsum()
-        a = np.arange(ends[-1], dtype=np.int64)
-        ends -= c
-        a -= ends.repeat(c)
-        a, b = np.divmod(a, cy[lo:hi].repeat(c))
+        a, b = np.divmod(_offsets(c), cy[lo:hi].repeat(c))
         a += sx[lo:hi].repeat(c)
         b += sy[lo:hi].repeat(c)
         a = order[a]
@@ -425,6 +449,116 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
     return int(label), _reconstruct_word(steps, pos, letter)
 
 
+def _ball_rows(ball: _MergeBall, n: int) -> np.ndarray:
+    """Row index of the ball's keys by the lesser state: the pairs (u, v),
+    u < v, in the ball are keys[rows[u]:rows[u + 1]]."""
+    first = np.arange(n + 1, dtype=np.int64)
+    first *= n << 7
+    return np.searchsorted(ball.keys, first)
+
+
+def _ball_hits(block: np.ndarray, keys: np.ndarray, rows: np.ndarray, n: int):
+    """The ball pairs inside the rows of `block`, an array of rows of
+    distinct states: yields for some of them (distance, triangular index of
+    their columns a < b, a, b), the least of these tuples among them
+    included.
+
+    Each state u lists its ball pairs (u, v) from the row index, and looks
+    v up in its own row: the block's states are sorted as the keys
+    (row * n + state) << low | column, and a table of 4 to 8 flags per key
+    rules most (row, v) out before the binary search, as in _MergeBall.
+    The listing steps through the states whose pairs end in one stretch of
+    _LEVEL_SLICE (_stretches), and yields the least tuple of each stretch."""
+    height, m = block.shape
+    flat = block.reshape(-1)
+    first = rows[flat]
+    count = rows[flat + 1] - first
+    at = np.flatnonzero(count)
+    if not at.size:
+        return
+    low = m.bit_length()
+    tags = block.astype(np.int64)
+    tags += (np.arange(height, dtype=np.int64) * n)[:, None]
+    bits = (4 * tags.size).bit_length()
+    marked = np.zeros(1 << bits, dtype=bool)
+    marked[_hash_slots(tags, bits)] = True
+    tags <<= low
+    tags |= np.arange(m)
+    tags = np.sort(tags, axis=None)
+    count = count[at]
+    # The code u * n + v of a pair of the state at flat position p becomes
+    # row * n + v, p's row, by adding (row - u) * n.
+    shift = at // m
+    shift -= flat[at]
+    shift *= n
+    for lo, hi in _stretches(count, int(count.sum())):
+        c = count[lo:hi]
+        pairs = keys[_offsets(c) + first[at[lo:hi]].repeat(c)]
+        probe = pairs >> 7
+        probe += shift[lo:hi].repeat(c)
+        maybe = np.flatnonzero(marked[_hash_slots(probe, bits)])
+        probe = probe[maybe] << low
+        pos = np.searchsorted(tags, probe)
+        pos[pos == tags.size] = 0
+        probe ^= tags[pos]
+        found = probe < m
+        if not found.any():
+            continue
+        b = probe[found]
+        found = maybe[found]
+        dist = pairs[found] & 0x7F
+        d = int(dist.min())
+        near = dist == d
+        a = (at[lo:hi] % m).repeat(c)[found[near]]
+        b = b[near]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        tri = a * (2 * m - a - 1) // 2 + b - a - 1
+        w = int(tri.argmin())
+        yield d, int(tri[w]), int(a[w]), int(b[w])
+
+
+def _word_images(maps, level: np.ndarray) -> np.ndarray:
+    """The rows of level under each letter c in turn, t_c(level), in one
+    array of the level's dtype: a gather per letter, made _LEVEL_SLICE
+    states at a time, since numpy copies the indices of a gather as int64."""
+    height, m = level.shape
+    out = np.empty((len(maps), height, m), dtype=level.dtype)
+    step = max(1, _LEVEL_SLICE // m)
+    for c, t in enumerate(maps):
+        for r in range(0, height, step):
+            np.take(t, level[r:r + step], out=out[c, r:r + step], mode="clip")
+    return out.reshape(-1, m)
+
+
+def _closest_source(maps, cur: np.ndarray, keys: np.ndarray, rows: np.ndarray):
+    """The positions a < b in cur of the pair that greedy's multi-source
+    search picks, the first in np.triu_indices order of the pairs that
+    merge in the fewest letters; None when no level of at most
+    _FINDER_STATES * n states finds it.
+
+    Level L is x(cur) for every word x of L letters, one row per word,
+    column i holding the image of cur[i]; it is built by one gather per
+    letter from level L - 1 (_word_images).  A pair that merges in L
+    letters is in the ball, one letter from the diagonal, at level L - 1.
+    So up to the first level with ball pairs inside its rows the states of
+    a row are distinct, and at that level L (_ball_hits) the least
+    ball distance d gives the fewest letters D = L + d of any pair: the
+    pairs at distance d there are exactly the pairs that need D.  Rows are
+    read _LEVEL_SLICE states at a time.  The ball must hold some pair.
+    """
+    n, m = maps[0].size, cur.size
+    level = cur.astype(np.int32).reshape(1, m)
+    height = max(1, _LEVEL_SLICE // m)
+    while True:
+        hits = [hit for r in range(0, level.shape[0], height)
+                for hit in _ball_hits(level[r:r + height], keys, rows, n)]
+        if hits:
+            return min(hits)[2:]
+        if len(maps) * level.size > _FINDER_STATES * n:
+            return None
+        level = _word_images(maps, level)
+
+
 def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDistanceResult:
     """Length of a shortest word sending x and y to a common state, with a
     witness; math.inf when no merge exists within max_len letters (default
@@ -593,8 +727,14 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     image as a source, appends the winning merge word, and applies it to the
     whole set.  Once the searches have visited enough pairs, the rounds
     share one merge ball, which shortens each search without changing its
-    word.  Raises NotSynchronizableError naming a stuck pair when no pair
-    of the surviving image can merge.
+    word.  With the ball, a round on an image of at least _FINDER_MIN_IMAGE
+    states first finds the winning source from the images of the image
+    (_closest_source) and searches from that pair alone: every node on a
+    shortest merging path of the winning source carries its label in the
+    multi-source search, so the word is the same.  When that finder gives
+    up at its level cap, as on a stuck image, the round runs the
+    multi-source search.  Raises NotSynchronizableError naming a stuck pair
+    when no pair of the surviving image can merge.
     """
     if A.n != aut.n:
         raise InvalidInputError(
@@ -605,6 +745,8 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     cur = A.members
     out: list[int] = []
     ball, visits = _NO_BALL, []
+    maps = [aut.letter(c) for c in range(aut.k)]
+    rows = None  # the ball's row index, once a ball with pairs exists
     while cur.size > 1:
         npairs = cur.size * (cur.size - 1) // 2
         if npairs > PAIR_VISIT_LIMIT:
@@ -618,8 +760,17 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
             )
         if ball is _NO_BALL and sum(visits) >= max(_BALL_AFTER_VISITS * aut.n, _BALL_MIN_SEARCH * len(visits)):
             ball = _merge_ball(aut, max_codes=_BALL_CODES * aut.n)
-        i, j = np.triu_indices(cur.size, k=1)
-        res = _merge_search(aut, cur[i], cur[j], ball=ball, visits=visits)
+            if ball.keys.size:
+                rows = _ball_rows(ball, aut.n)
+        pair = None
+        if rows is not None and cur.size >= _FINDER_MIN_IMAGE:
+            pair = _closest_source(maps, cur, ball.keys, rows)
+        if pair is None:
+            i, j = np.triu_indices(cur.size, k=1)
+            res = _merge_search(aut, cur[i], cur[j], ball=ball, visits=visits)
+        else:
+            a, b = pair
+            res = _merge_search(aut, cur[a:a + 1], cur[b:b + 1], ball=ball)
         if res is None:
             raise NotSynchronizableError((int(cur[0]), int(cur[1])))
         _label, word = res

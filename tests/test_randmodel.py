@@ -311,6 +311,18 @@ def test_extinction_sequence_validation():
         ExtinctionSequence([0.0, 0.5, 0.4])
 
 
+def test_extinction_sequence_index():
+    seq = extinction_sequence(3)
+    assert seq[-1] == seq[3] and seq[-4] == seq[0] == 0.0
+    assert seq[np.int64(2)] == seq[2]
+    for bad in (1.5, True, np.True_):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            seq[bad]
+    for bad in (4, 9, -5, -9):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[-4, 4\)"):
+            seq[bad]
+
+
 # ---------------------------------------------------------------------
 # power-mean inequality check
 # ---------------------------------------------------------------------

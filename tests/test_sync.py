@@ -389,6 +389,144 @@ def test_greedy_builds_a_ball_and_keeps_the_reference_word(monkeypatch):
 
 
 # ---------------------------------------------------------------------
+# greedy's closest-pair finder over the images of the image
+# ---------------------------------------------------------------------
+def spy_on(monkeypatch, name):
+    """Replace sync.<name> by a wrapper that records each call's result."""
+    from synchrolab import sync
+
+    fn, seen = getattr(sync, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(sync, name, spy)
+    return seen
+
+
+def permutation_beside_random(rng, p, n):
+    """States 0..p-1 under a cyclic shift and the identity, which never
+    merge, beside a random automaton on the other n - p states."""
+    left = np.stack([(np.arange(p) + 1) % p, np.arange(p)], axis=1)
+    return Automaton(np.vstack([left, sample_uniform_automaton(n - p, 2, rng).table + p]))
+
+
+def test_greedy_with_the_finder_matches_reference(rng, monkeypatch):
+    # a ball from the first round and the finder on every image of two or
+    # more states: random subsets and phase-1 images as starts
+    from synchrolab import sync
+
+    monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", 2)
+    monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
+    found = spy_on(monkeypatch, "_closest_source")
+    outcomes = []
+    for trial in range(200):
+        k = 2 + trial % 2
+        if trial % 3 == 0:
+            aut = tie_heavy_automaton(rng, int(rng.integers(3, 41)))
+        elif trial % 3 == 1:
+            aut = two_component_automaton(rng, int(rng.integers(2, 20)), int(rng.integers(2, 20)), k)
+        else:
+            aut = sample_uniform_automaton(int(rng.integers(2, 41)), k, rng)
+        n = aut.n
+        starts = [StateSet(n, rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)),
+                  image(aut, phase1_word_interleaved(n), StateSet.full(n))]
+        for A in starts:
+            expected = reference_greedy(aut, A.members.tolist())
+            outcomes.append(expected is None)
+            if expected is None:
+                with pytest.raises(NotSynchronizableError):
+                    greedy_synchronize(aut, A)
+            else:
+                assert greedy_synchronize(aut, A) == expected
+    assert 50 < sum(outcomes) < 350
+    assert sum(pair is not None for pair in found) > 1000
+
+
+@pytest.mark.parametrize("slice_size", [None, 5])
+def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size):
+    # the finder's pair is the label of the multi-source search with the
+    # same ball, also when rows and ball pairs are read a few at a time
+    from synchrolab import sync
+
+    if slice_size is not None:
+        monkeypatch.setattr(sync, "_LEVEL_SLICE", slice_size)
+    for trial in range(12):
+        n = int(rng.integers(200, 2000))
+        aut = tie_heavy_automaton(rng, n) if trial % 3 == 0 else sample_uniform_automaton(n, 2 + trial % 2, rng)
+        ball = sync._merge_ball(aut, max_codes=sync._BALL_CODES * n)
+        rows = sync._ball_rows(ball, n)
+        maps = [aut.letter(c) for c in range(aut.k)]
+        for _ in range(4):
+            cur = np.sort(rng.choice(n, size=int(rng.integers(16, 120)), replace=False))
+            pair = sync._closest_source(maps, cur, ball.keys, rows)
+            i, j = np.triu_indices(cur.size, k=1)
+            label, word = sync._merge_search(aut, cur[i], cur[j], ball=ball)
+            assert pair == (i[label], j[label])
+            assert sync._merge_search(aut, cur[pair[0]:pair[0] + 1], cur[pair[1]:pair[1] + 1], ball=ball) == (0, word)
+
+
+def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypatch):
+    # the finder's words double with each level; on a stuck image it stops
+    # before a level passes its cap, and the multi-source search names the
+    # stuck pair that it names without the finder
+    from synchrolab import sync
+
+    monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
+    auts = [two_component_automaton(rng, int(rng.integers(2, 13)), int(rng.integers(2, 13)), 2) for _ in range(30)]
+    # stuck images of 21 and 31 states, over the finder's default gate
+    auts += [permutation_beside_random(rng, 20, 40), permutation_beside_random(rng, 30, 60)]
+
+    def stuck_pairs():
+        pairs = []
+        for aut in auts:
+            with pytest.raises(NotSynchronizableError) as exc:
+                greedy_synchronize(aut, StateSet.full(aut.n))
+            pairs.append(exc.value.pair)
+        return pairs
+
+    monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", math.inf)
+    expected = stuck_pairs()
+    found = spy_on(monkeypatch, "_closest_source")
+    build, sizes = sync._word_images, []
+
+    def spy(maps, level):
+        out = build(maps, level)
+        sizes.append((out.size, maps[0].size))
+        return out
+
+    monkeypatch.setattr(sync, "_word_images", spy)
+    for gate in (16, 2):
+        monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", gate)
+        found.clear()
+        assert stuck_pairs() == expected
+        assert found.count(None) >= (2 if gate == 16 else len(auts))
+    assert sizes and all(size <= sync._FINDER_STATES * n for size, n in sizes)
+    assert max(size / n for size, n in sizes) > sync._FINDER_STATES / 2
+
+
+def test_closest_source_memory_at_its_cap(rng):
+    # a stuck image of 20 states: the finder builds levels up to its cap of
+    # 8n states and stays within the bytes of the ball's 8n codes
+    from synchrolab import sync
+
+    n = 200_000
+    aut = permutation_beside_random(rng, 19, n)
+    ball = sync._merge_ball(aut, max_codes=sync._BALL_CODES * n)
+    rows = sync._ball_rows(ball, n)
+    maps = [aut.letter(c) for c in range(aut.k)]
+    cur = np.arange(20, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        assert sync._closest_source(maps, cur, ball.keys, rows) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sync._BALL_CODES * n * 8
+
+
+# ---------------------------------------------------------------------
 # all-pairs radius
 # ---------------------------------------------------------------------
 def test_radius_constant_and_permutation():
