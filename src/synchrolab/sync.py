@@ -54,11 +54,10 @@ _BALL_MIN_SEARCH = 4096
 
 # Once a merge ball exists, greedy finds the closest pair of an image of at
 # least _FINDER_MIN_IMAGE states from the images of the image
-# (_closest_source), while a level holds at most _FINDER_STATES * n states:
-# as int32, the level and the one built from it then stay within the bytes
-# of _BALL_CODES * n codes.  Otherwise the round runs the multi-source search.
+# (_closest_source), while its levels hold at most _BALL_CODES * n states
+# in all: as int32, half the bytes of the ball's _BALL_CODES * n codes.
+# Otherwise the round runs the multi-source search.
 _FINDER_MIN_IMAGE = 16
-_FINDER_STATES = 8
 
 # The reverse BFS steps through a level this many pairs at a time, and makes
 # their spawned pairs in arrays of about this many codes; the ball marks its
@@ -179,46 +178,59 @@ def _canonical_children(letter_maps, codes: np.ndarray, n: int):
     return out, diagonal
 
 
-def _hash_slots(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Slots in [0, 2^bits) of non-negative int64 codes, by a multiplicative
-    hash: the top bits of code * (about 2^64 / golden ratio) mod 2^64."""
-    slot = codes.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    slot >>= np.uint64(64 - bits)
-    return slot.view(np.int64)
+class _KeyTable:
+    """Sorted int64 keys code << low | value, at most one per code, looked
+    up by code.  A table of 4 to 8 flags per key, indexed by a
+    multiplicative hash of the code, rules most codes out of a lookup
+    before the binary search."""
+
+    _HASH = np.uint64(0x9E3779B97F4A7C15)  # about 2^64 / golden ratio
+
+    def __init__(self, keys: np.ndarray, low: int):
+        self.keys = keys
+        self.low = low
+        bits = max(int(4 * keys.size).bit_length(), 1)
+        self._shift = np.uint64(64 - bits)
+        self._marked = np.zeros(1 << bits, dtype=bool)
+        for s in range(0, keys.size, _LEVEL_SLICE):
+            self._marked[self._slot(keys[s:s + _LEVEL_SLICE] >> low)] = True
+
+    def _slot(self, codes: np.ndarray) -> np.ndarray:
+        slot = codes.view(np.uint64) * self._HASH
+        slot >>= self._shift
+        return slot.view(np.int64)
+
+    def find(self, codes: np.ndarray):
+        """The positions i of the codes that have a key, ascending, and the
+        value of codes[i]'s key."""
+        maybe = np.flatnonzero(self._marked[self._slot(codes)])
+        # A code's key is the least key at or above code << low, and
+        # differs from it only in the low bits.
+        probe = codes[maybe] << self.low
+        pos = np.searchsorted(self.keys, probe)
+        pos[pos == self.keys.size] = 0
+        probe ^= self.keys[pos]
+        found = probe < (1 << self.low)
+        return maybe[found], probe[found]
 
 
-class _MergeBall:
+class _MergeBall(_KeyTable):
     """The pairs within `radius` letters of the diagonal, as the sorted keys
     code << 7 | distance of their canonical codes u * n + v (u < v).
 
     Radius 0 is no ball: the search then finds merges by trying letters.
     A ball of positive radius with no keys means no pair merges at all.
-    A table of 4 to 8 flags per key, indexed by a multiplicative hash of
-    the code, rules most codes out of a lookup before the binary search.
     """
 
     def __init__(self, keys: np.ndarray, radius: int):
-        self.keys = keys
+        super().__init__(keys, 7)
         self.radius = radius
-        self._bits = max(int(4 * keys.size).bit_length(), 1)
-        self._marked = np.zeros(1 << self._bits, dtype=bool)
-        for s in range(0, keys.size, _LEVEL_SLICE):
-            self._marked[_hash_slots(keys[s:s + _LEVEL_SLICE] >> 7, self._bits)] = True
 
     def distance(self, codes: np.ndarray) -> np.ndarray:
         """Merge distance of each code, 0 for codes outside the ball."""
         dist = np.zeros(codes.size, dtype=np.int8)
-        maybe = np.flatnonzero(self._marked[_hash_slots(codes, self._bits)])
-        if maybe.size:
-            # A code's key is the least key at or above code << 7, and
-            # differs from it only in the distance bits.
-            codes = codes[maybe] << 7
-            pos = np.searchsorted(self.keys, codes)
-            pos[pos == self.keys.size] = 0
-            keys = self.keys[pos]
-            codes ^= keys
-            found = codes < 0x80
-            dist[maybe[found]] = keys[found] & 0x7F
+        at, d = self.find(codes)
+        dist[at] = d
         return dist
 
 
@@ -464,11 +476,10 @@ def _ball_hits(block: np.ndarray, keys: np.ndarray, rows: np.ndarray, n: int):
     included.
 
     Each state u lists its ball pairs (u, v) from the row index, and looks
-    v up in its own row: the block's states are sorted as the keys
-    (row * n + state) << low | column, and a table of 4 to 8 flags per key
-    rules most (row, v) out before the binary search, as in _MergeBall.
-    The listing steps through the states whose pairs end in one stretch of
-    _LEVEL_SLICE (_stretches), and yields the least tuple of each stretch."""
+    v up in its own row: the block's states are the keys
+    (row * n + state) << low | column of a _KeyTable.  The listing steps
+    through the states whose pairs end in one stretch of _LEVEL_SLICE
+    (_stretches), and yields the least tuple of each stretch."""
     height, m = block.shape
     flat = block.reshape(-1)
     first = rows[flat]
@@ -476,15 +487,11 @@ def _ball_hits(block: np.ndarray, keys: np.ndarray, rows: np.ndarray, n: int):
     at = np.flatnonzero(count)
     if not at.size:
         return
-    low = m.bit_length()
     tags = block.astype(np.int64)
     tags += (np.arange(height, dtype=np.int64) * n)[:, None]
-    bits = (4 * tags.size).bit_length()
-    marked = np.zeros(1 << bits, dtype=bool)
-    marked[_hash_slots(tags, bits)] = True
-    tags <<= low
+    tags <<= m.bit_length()
     tags |= np.arange(m)
-    tags = np.sort(tags, axis=None)
+    table = _KeyTable(np.sort(tags, axis=None), m.bit_length())
     count = count[at]
     # The code u * n + v of a pair of the state at flat position p becomes
     # row * n + v, p's row, by adding (row - u) * n.
@@ -496,16 +503,9 @@ def _ball_hits(block: np.ndarray, keys: np.ndarray, rows: np.ndarray, n: int):
         pairs = keys[_offsets(c) + first[at[lo:hi]].repeat(c)]
         probe = pairs >> 7
         probe += shift[lo:hi].repeat(c)
-        maybe = np.flatnonzero(marked[_hash_slots(probe, bits)])
-        probe = probe[maybe] << low
-        pos = np.searchsorted(tags, probe)
-        pos[pos == tags.size] = 0
-        probe ^= tags[pos]
-        found = probe < m
-        if not found.any():
+        found, b = table.find(probe)
+        if not found.size:
             continue
-        b = probe[found]
-        found = maybe[found]
         dist = pairs[found] & 0x7F
         d = int(dist.min())
         near = dist == d
@@ -533,8 +533,8 @@ def _word_images(maps, level: np.ndarray) -> np.ndarray:
 def _closest_source(maps, cur: np.ndarray, keys: np.ndarray, rows: np.ndarray):
     """The positions a < b in cur of the pair that greedy's multi-source
     search picks, the first in np.triu_indices order of the pairs that
-    merge in the fewest letters; None when no level of at most
-    _FINDER_STATES * n states finds it.
+    merge in the fewest letters; None when the levels it finds it in would
+    hold more than _BALL_CODES * n states in all.
 
     Level L is x(cur) for every word x of L letters, one row per word,
     column i holding the image of cur[i]; it is built by one gather per
@@ -545,16 +545,21 @@ def _closest_source(maps, cur: np.ndarray, keys: np.ndarray, rows: np.ndarray):
     ball distance d gives the fewest letters D = L + d of any pair: the
     pairs at distance d there are exactly the pairs that need D.  Rows are
     read _LEVEL_SLICE states at a time.  The ball must hold some pair.
+
+    The cap on the states of all levels, not of one, also ends the search
+    when the levels do not grow, as with one letter.
     """
     n, m = maps[0].size, cur.size
     level = cur.astype(np.int32).reshape(1, m)
+    built = level.size
     height = max(1, _LEVEL_SLICE // m)
     while True:
         hits = [hit for r in range(0, level.shape[0], height)
                 for hit in _ball_hits(level[r:r + height], keys, rows, n)]
         if hits:
             return min(hits)[2:]
-        if len(maps) * level.size > _FINDER_STATES * n:
+        built += len(maps) * level.size
+        if built > _BALL_CODES * n:
             return None
         level = _word_images(maps, level)
 
@@ -732,9 +737,9 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     (_closest_source) and searches from that pair alone: every node on a
     shortest merging path of the winning source carries its label in the
     multi-source search, so the word is the same.  When that finder gives
-    up at its level cap, as on a stuck image, the round runs the
-    multi-source search.  Raises NotSynchronizableError naming a stuck pair
-    when no pair of the surviving image can merge.
+    up at its cap on the states of its levels, as on a stuck image, the
+    round runs the multi-source search.  Raises NotSynchronizableError
+    naming a stuck pair when no pair of the surviving image can merge.
     """
     if A.n != aut.n:
         raise InvalidInputError(

@@ -412,6 +412,13 @@ def permutation_beside_random(rng, p, n):
     return Automaton(np.vstack([left, sample_uniform_automaton(n - p, 2, rng).table + p]))
 
 
+def cycle_with_trees(rng, p, n):
+    """One letter: states 0..p-1 on a cycle, which never merge, and every
+    other state sent to a state of lower index, so trees feed the cycle."""
+    trees = rng.integers(0, np.arange(p, n))
+    return Automaton(np.concatenate([(np.arange(p) + 1) % p, trees])[:, None])
+
+
 def test_greedy_with_the_finder_matches_reference(rng, monkeypatch):
     # a ball from the first round and the finder on every image of two or
     # more states: random subsets and phase-1 images as starts
@@ -444,6 +451,30 @@ def test_greedy_with_the_finder_matches_reference(rng, monkeypatch):
     assert sum(pair is not None for pair in found) > 1000
 
 
+def test_greedy_with_the_finder_matches_reference_on_one_letter(rng, monkeypatch):
+    # one letter: the finder's levels hold |I| states each; trees into a
+    # cycle of one state synchronize, into a cycle of two or three do not
+    from synchrolab import sync
+
+    monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", 2)
+    monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
+    found = spy_on(monkeypatch, "_closest_source")
+    outcomes = []
+    for trial in range(60):
+        n = int(rng.integers(4, 41))
+        aut = cycle_with_trees(rng, 1 + trial % 3, n)
+        A = StateSet(n, rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        expected = reference_greedy(aut, A.members.tolist())
+        outcomes.append(expected is None)
+        if expected is None:
+            with pytest.raises(NotSynchronizableError):
+                greedy_synchronize(aut, A)
+        else:
+            assert greedy_synchronize(aut, A) == expected
+    assert 10 < sum(outcomes) < 50
+    assert sum(pair is not None for pair in found) > 100
+
+
 @pytest.mark.parametrize("slice_size", [None, 5])
 def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size):
     # the finder's pair is the label of the multi-source search with the
@@ -468,15 +499,18 @@ def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size)
 
 
 def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypatch):
-    # the finder's words double with each level; on a stuck image it stops
-    # before a level passes its cap, and the multi-source search names the
-    # stuck pair that it names without the finder
+    # the finder's words double with each level, or with one letter stay as
+    # many; on a stuck image it stops before its levels pass its cap, and
+    # the multi-source search names the stuck pair that it names without
+    # the finder
     from synchrolab import sync
 
     monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
     auts = [two_component_automaton(rng, int(rng.integers(2, 13)), int(rng.integers(2, 13)), 2) for _ in range(30)]
     # stuck images of 21 and 31 states, over the finder's default gate
     auts += [permutation_beside_random(rng, 20, 40), permutation_beside_random(rng, 30, 60)]
+    # one letter: the trees merge round by round, then a cycle of 20 or 24
+    auts += [cycle_with_trees(rng, 20, 150), cycle_with_trees(rng, 24, 400)]
 
     def stuck_pairs():
         pairs = []
@@ -488,27 +522,36 @@ def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypat
 
     monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", math.inf)
     expected = stuck_pairs()
-    found = spy_on(monkeypatch, "_closest_source")
-    build, sizes = sync._word_images, []
+    finder, build, calls = sync._closest_source, sync._word_images, []
 
-    def spy(maps, level):
+    def closest_source(maps, cur, keys, rows):
+        calls.append((maps[0].size, len(maps), [cur.size]))
+        pair = finder(maps, cur, keys, rows)
+        calls[-1] += (pair,)
+        return pair
+
+    def word_images(maps, level):
         out = build(maps, level)
-        sizes.append((out.size, maps[0].size))
+        calls[-1][2].append(out.size)
         return out
 
-    monkeypatch.setattr(sync, "_word_images", spy)
+    monkeypatch.setattr(sync, "_closest_source", closest_source)
+    monkeypatch.setattr(sync, "_word_images", word_images)
     for gate in (16, 2):
         monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", gate)
-        found.clear()
+        calls.clear()
         assert stuck_pairs() == expected
-        assert found.count(None) >= (2 if gate == 16 else len(auts))
-    assert sizes and all(size <= sync._FINDER_STATES * n for size, n in sizes)
-    assert max(size / n for size, n in sizes) > sync._FINDER_STATES / 2
+        gave_up = [(n, k, sizes) for n, k, sizes, pair in calls if pair is None]
+        assert len(gave_up) >= (4 if gate == 16 else len(auts))
+        assert {k for n, k, sizes in gave_up} == {1, 2}
+        # within the cap in all, and stopped only by it
+        assert all(sum(sizes) <= sync._BALL_CODES * n for n, k, sizes, pair in calls)
+        assert all(sum(sizes) + k * sizes[-1] > sync._BALL_CODES * n for n, k, sizes in gave_up)
 
 
 def test_closest_source_memory_at_its_cap(rng):
     # a stuck image of 20 states: the finder builds levels up to its cap of
-    # 8n states and stays within the bytes of the ball's 8n codes
+    # 8n states in all and stays within the bytes of the ball's 8n codes
     from synchrolab import sync
 
     n = 200_000
