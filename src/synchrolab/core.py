@@ -242,6 +242,15 @@ class Automaton:
         rows.setflags(write=False)
         self._rows = rows
 
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray) -> "Automaton":
+        # Trusted constructor: rows must be a C-ordered (k, n) int64 array
+        # of states in [0, n), with k, n >= 1; it is kept, not copied.
+        obj = cls.__new__(cls)
+        rows.setflags(write=False)
+        obj._rows = rows
+        return obj
+
     @property
     def n(self) -> int:
         return int(self._rows.shape[1])

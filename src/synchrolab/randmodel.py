@@ -22,6 +22,9 @@ PROB_SUM_TOL = 1e-12
 # Subset-sum cap for the exact cyclic-vertex expectation.
 EXACT_EXPECTATION_LIMIT = 25
 
+# The automaton sampler draws this many states' targets at a time.
+_SAMPLE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -201,8 +204,13 @@ def sample_uniform_automaton(n: int, k: int = 2, seed=0) -> Automaton:
     if k < 1:
         raise InvalidInputError("need at least one letter")
     rng = _as_generator(seed)
-    table = rng.integers(0, n, size=(n, k), dtype=np.int64)
-    return Automaton(table)
+    # The draws fill the (k, n) rows of the automaton a chunk of states at
+    # a time, in the order of one (n, k) draw, so no second table is held.
+    rows = np.empty((k, n), dtype=np.int64)
+    for lo in range(0, n, _SAMPLE_CHUNK):
+        hi = min(n, lo + _SAMPLE_CHUNK)
+        rows[:, lo:hi] = rng.integers(0, n, size=(hi - lo, k), dtype=np.int64).T
+    return Automaton._from_rows(rows)
 
 
 def sample_one_out_digraph(p, seed=0) -> FunctionalGraph:

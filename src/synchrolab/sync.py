@@ -7,22 +7,23 @@ int64 code u * n + v.
 
 The forward pair search has one level step (_next_level): a level's
 children, each kept once with its least (source label, letter, parent).
-Greedy shares one merge ball between its rounds: the pairs within r letters
-of the diagonal, found once by a reverse level BFS over the letters'
-preimages and kept as their sorted keys code << 7 | distance.  A round's
-search stops r levels short of the diagonal and finishes its word inside
-the ball with the same step, with the word of the search without a ball
-(r = 0).  Once a round's image is large, greedy finds its closest pair
-from the images x(I) of the image under the words x of each length, with
-the ball pairs inside each x(I) listed from a row index over the ball's
-keys, and searches from that one pair.  The search and the power-set
-oracle store each node's parent as letter * width + position and rebuild
-words with _reconstruct_word.  The all-pairs radius is the same reverse
-BFS run to the end, direction-optimising as in Beamer, Asanovic and
-Patterson (SC 2012): it pushes a sparse level with the ball's level step,
-and pulls a dense one, each pair looking up its images in n x n bool
-matrices of the level and of the pairs seen.  The push step's counts,
-known before it spawns a pair, decide which.
+Greedy builds one merge ball in its first round and shares it between its
+rounds: the pairs within r = 2 letters of the diagonal, found by a reverse
+level BFS over the letters' preimages and kept as their sorted keys
+code << 7 | distance.  A round's search stops r levels short of the
+diagonal and finishes its word inside the ball with the same step, with
+the word of the search without a ball (r = 0).  On an image of 16 states
+or more, greedy finds its closest pair from the images x(I) of the image
+under the words x of each length, with the ball pairs inside each x(I)
+listed from a row index over the ball's keys, and searches from that one
+pair.  The search and the power-set oracle store each node's parent as
+letter * width + position and rebuild words with _reconstruct_word.  The
+all-pairs radius is the same reverse BFS run to the end,
+direction-optimising as in Beamer, Asanovic and Patterson (SC 2012): it
+pushes a sparse level with the ball's level step, and pulls a dense one,
+each pair looking up its images in n x n bool matrices of the level and
+of the pairs seen.  The push step's counts, known before it spawns a
+pair, decide which.
 """
 
 from __future__ import annotations
@@ -39,24 +40,23 @@ from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 # Product space guards: the all-pairs radius holds at most three n x n
 # bool matrices and a sparse level (_radius_bytes); the wide BFS keeps
 # every visited pair code in memory.  Greedy's merge ball holds at most
-# _BALL_CODES * n pairs (r = 3 for two letters, about 7n pairs) at 12 to 16
-# bytes each: the int64 key code << 7 | distance and 4 to 8 lookup flags.
+# _BALL_CODES * n pairs at 12 to 16 bytes each: the int64 key
+# code << 7 | distance and 4 to 8 lookup flags.
 RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
 _BALL_CODES = 8
 
-# Greedy builds its merge ball once its searches have visited
-# _BALL_AFTER_VISITS * n pairs, about what the build costs, and on average
-# _BALL_MIN_SEARCH pairs per search: smaller searches spend their time in
-# per-level overhead that the ball does not save.
-_BALL_AFTER_VISITS = 4
-_BALL_MIN_SEARCH = 4096
+# Greedy builds its merge ball in its first round, of radius _BALL_RADIUS
+# (about 3n pairs for two letters) or less where the cap would be passed:
+# the finder below reaches the ball through the images of the image, so a
+# deeper ball only costs more to build.
+_BALL_RADIUS = 2
 
-# Once a merge ball exists, greedy finds the closest pair of an image of at
-# least _FINDER_MIN_IMAGE states from the images of the image
-# (_closest_source), while its levels hold at most _BALL_CODES * n states
-# in all: as int32, half the bytes of the ball's _BALL_CODES * n codes.
-# Otherwise the round runs the multi-source search.
+# With a merge ball that holds some pair, greedy finds the closest pair of
+# an image of at least _FINDER_MIN_IMAGE states from the images of the
+# image (_closest_source), while its levels hold at most _BALL_CODES * n
+# states in all: as int32, half the bytes of the ball's _BALL_CODES * n
+# codes.  Otherwise the round runs the multi-source search.
 _FINDER_MIN_IMAGE = 16
 
 # The reverse BFS steps through a level this many pairs at a time, and makes
@@ -376,8 +376,7 @@ def _next_level(cand_codes: np.ndarray, labels: np.ndarray):
     return cand_codes[starts], keys >> shift, keys & ((1 << shift) - 1)
 
 
-def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
-                  ball=_NO_BALL, visits=None):
+def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT, ball=_NO_BALL):
     """Level-synchronous BFS over unordered pairs from many sources at once.
 
     src_x/src_y are canonical (x < y) pairs in lexicographic order; each BFS
@@ -385,8 +384,7 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
     number of steps, so a closest source is found deterministically (ties
     broken by source index, then letter, then frontier position).  Returns
     (source_index, word) or None when no source can merge within max_len
-    letters (None = search to exhaustion).  A list given as `visits` gets
-    the number of pairs visited appended when a merge is found.
+    letters (None = search to exhaustion).
 
     With a merge ball of radius r the BFS stops at the first level L with
     a node in the ball: the closest sources merge in D = L + (least ball
@@ -441,8 +439,6 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
     best = int(length.min())
     if max_len is not None and len(steps) + best > max_len:
         return None
-    if visits is not None:
-        visits.append(visited.size)
     hit = hit[length == best]
     label = labels[hit].min()
     hit = hit[labels[hit] == label]
@@ -728,18 +724,20 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
 def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     """Collapse A to a single state by repeatedly merging a closest pair.
 
-    Each round runs one multi-source pair BFS with every pair of the current
-    image as a source, appends the winning merge word, and applies it to the
-    whole set.  Once the searches have visited enough pairs, the rounds
-    share one merge ball, which shortens each search without changing its
-    word.  With the ball, a round on an image of at least _FINDER_MIN_IMAGE
-    states first finds the winning source from the images of the image
-    (_closest_source) and searches from that pair alone: every node on a
-    shortest merging path of the winning source carries its label in the
-    multi-source search, so the word is the same.  When that finder gives
-    up at its cap on the states of its levels, as on a stuck image, the
-    round runs the multi-source search.  Raises NotSynchronizableError
-    naming a stuck pair when no pair of the surviving image can merge.
+    Each round merges the pair of the current image that the multi-source
+    pair BFS, with every pair of the image as a source, picks: it appends
+    that search's word and applies it to the whole set.  The first round
+    builds one merge ball of radius _BALL_RADIUS, which every round's
+    search shares; a ball shortens a search without changing its word.  A
+    round on an image of at least _FINDER_MIN_IMAGE states first finds the
+    winning source from the images of the image (_closest_source) and
+    searches from that pair alone: every node on a shortest merging path
+    of the winning source carries its label in the multi-source search, so
+    the word is the same.  When the ball holds no pair, as when a
+    degenerate letter fills the cap at radius 0, or the finder gives up at
+    its cap on the states of its levels, as on a stuck image, the round
+    runs the multi-source search.  Raises NotSynchronizableError naming a
+    stuck pair when no pair of the surviving image can merge.
     """
     if A.n != aut.n:
         raise InvalidInputError(
@@ -749,9 +747,9 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
         raise InvalidInputError("cannot synchronize an empty state set")
     cur = A.members
     out: list[int] = []
-    ball, visits = _NO_BALL, []
+    ball = None
     maps = [aut.letter(c) for c in range(aut.k)]
-    rows = None  # the ball's row index, once a ball with pairs exists
+    rows = None  # the ball's row index, when the ball holds some pair
     while cur.size > 1:
         npairs = cur.size * (cur.size - 1) // 2
         if npairs > PAIR_VISIT_LIMIT:
@@ -763,8 +761,8 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
                 f"{npairs} candidate pairs exceed the search budget of {PAIR_VISIT_LIMIT} pairs "
                 "(PAIR_VISIT_LIMIT); no stuck pair is named, since only a search over those pairs could find one"
             )
-        if ball is _NO_BALL and sum(visits) >= max(_BALL_AFTER_VISITS * aut.n, _BALL_MIN_SEARCH * len(visits)):
-            ball = _merge_ball(aut, max_codes=_BALL_CODES * aut.n)
+        if ball is None:
+            ball = _merge_ball(aut, _BALL_RADIUS, max_codes=_BALL_CODES * aut.n)
             if ball.keys.size:
                 rows = _ball_rows(ball, aut.n)
         pair = None
@@ -772,7 +770,7 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
             pair = _closest_source(maps, cur, ball.keys, rows)
         if pair is None:
             i, j = np.triu_indices(cur.size, k=1)
-            res = _merge_search(aut, cur[i], cur[j], ball=ball, visits=visits)
+            res = _merge_search(aut, cur[i], cur[j], ball=ball)
         else:
             a, b = pair
             res = _merge_search(aut, cur[a:a + 1], cur[b:b + 1], ball=ball)
@@ -860,11 +858,17 @@ def exact_shortest_reset(aut: Automaton) -> Word | None:
         if single.size:
             pos, letter = divmod(int(index[single[0]]), k)
             return _reconstruct_word(parents, pos, letter)
-        # Keep each mask's first discovery: a stable sort puts it first
-        # among its equals, and sorting the kept positions restores
-        # discovery order.
-        order = np.argsort(cand, kind="stable")
-        keep = np.sort(order[_first_of_runs(cand[order])])
+        # Keep each mask's first discovery: sorting the keys
+        # mask << bits | position puts it first among its equals, and
+        # sorting the kept positions restores discovery order.  Masks have
+        # n <= 24 bits, so the keys fit in int64.
+        bits = cand.size.bit_length()
+        keys = cand << bits
+        keys |= np.arange(cand.size)
+        keys.sort()
+        keep = keys[_first_of_runs(keys, low_bits=bits)]
+        keep &= (1 << bits) - 1
+        keep.sort()
         pos, letter = np.divmod(index[keep], k)
         parents.append((letter * level.size + pos, level.size))
         level = cand[keep]

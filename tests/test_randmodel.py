@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,28 @@ def test_uniform_automaton_rejects_empty():
     for n, k, seed in ((5.5, 2, 0), (True, 2, 0), (5, 2.5, 0), (5, 2, 1.5)):
         with pytest.raises(InvalidInputError, match="must be an integer"):
             sample_uniform_automaton(n, k, seed)
+
+
+def test_uniform_automaton_is_one_draw_of_its_table():
+    # the chunked fill draws in the order of one (n, k) draw
+    for n in (1, 7, 1000, 65535, 65536, 65537, 200_003):
+        for k in (1, 2, 3):
+            aut = sample_uniform_automaton(n, k, Seed(3).stream(n % 5 + k))
+            table = Seed(3).stream(n % 5 + k).integers(0, n, size=(n, k))
+            assert np.array_equal(aut.table, table)
+            assert aut.table.dtype == np.int64 and not aut.table.flags.writeable
+            assert aut.letter(k - 1).flags.c_contiguous
+
+
+def test_uniform_automaton_holds_its_table_once():
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        aut = sample_uniform_automaton(n, 2, Seed(7).stream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * aut.table.nbytes
 
 
 def test_uniform_automaton_frequencies_within_5_sigma():

@@ -313,15 +313,14 @@ def test_merge_ball_code_cap_lowers_the_radius(rng):
     assert ball.radius == 0 and ball.keys.size == 0
 
 
-def test_merge_ball_of_permutation_automaton_is_empty(monkeypatch):
+def test_merge_ball_of_permutation_automaton_is_empty():
     from synchrolab import sync
 
     ball = sync._merge_ball(permutation_automaton(12, 3), 4)
     assert ball.radius == 4 and ball.keys.size == 0
     src = np.array([0, 2]), np.array([5, 7])
     assert sync._merge_search(permutation_automaton(12, 3), *src, ball=ball) is None
-    # greedy with a ball from its first round still names the stuck pair
-    monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
+    # greedy, whose ball holds no pair, still names the stuck pair
     with pytest.raises(NotSynchronizableError) as exc:
         greedy_synchronize(permutation_automaton(12, 3), StateSet(12, [3, 5, 9]))
     assert exc.value.pair == (3, 5)
@@ -369,23 +368,46 @@ def test_merge_search_with_ball_matches_reference(rng):
 
 
 def test_greedy_builds_a_ball_and_keeps_the_reference_word(monkeypatch):
-    # at n = 4000 the searches of some greedy calls visit enough pairs for
-    # the rule to build a merge ball; the word must not change
+    # each greedy call builds one merge ball of radius 2, before its first
+    # search; the word must not change
     from synchrolab import sync
 
-    build, built = sync._merge_ball, []
+    build, search, events = sync._merge_ball, sync._merge_search, []
 
-    def spy(*args, **kwargs):
+    def ball_spy(*args, **kwargs):
         ball = build(*args, **kwargs)
-        built.append(ball.radius)
+        events.append(ball.radius)
         return ball
 
-    monkeypatch.setattr(sync, "_merge_ball", spy)
+    def search_spy(*args, **kwargs):
+        events.append("search")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(sync, "_merge_ball", ball_spy)
+    monkeypatch.setattr(sync, "_merge_search", search_spy)
     for i in range(3):
         aut = sample_uniform_automaton(4000, 2, Seed(7).stream(i))
         A = image(aut, phase1_word_interleaved(4000), StateSet.full(4000))
+        events.clear()
         assert greedy_synchronize(aut, A) == reference_greedy(aut, A.members.tolist())
-    assert built and set(built) == {3}
+        assert events[0] == 2 and events.count(2) == 1
+        assert events.count("search") == len(events) - 1 > 1
+
+
+def test_greedy_with_a_constant_letter_has_no_ball_and_keeps_the_reference_word(rng, monkeypatch):
+    # a constant letter merges every pair in one letter: the n(n-1)/2 pairs
+    # at distance 1 pass the cap of 8n codes, so the ball has radius 0 and
+    # every round runs the multi-source search without it
+    from synchrolab import sync
+
+    balls = spy_on(monkeypatch, "_merge_ball")
+    found = spy_on(monkeypatch, "_closest_source")
+    for n in (30, 40, 50):
+        aut = Automaton(np.stack([np.full(n, n // 2), rng.integers(0, n, n)], axis=1))
+        for A in (StateSet.full(n), StateSet(n, rng.choice(n, size=n // 2, replace=False))):
+            assert greedy_synchronize(aut, A) == reference_greedy(aut, A.members.tolist())
+    assert [(b.radius, b.keys.size) for b in balls] == [(0, 0)] * 6
+    assert not found
 
 
 # ---------------------------------------------------------------------
@@ -425,7 +447,6 @@ def test_greedy_with_the_finder_matches_reference(rng, monkeypatch):
     from synchrolab import sync
 
     monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", 2)
-    monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
     found = spy_on(monkeypatch, "_closest_source")
     outcomes = []
     for trial in range(200):
@@ -457,7 +478,6 @@ def test_greedy_with_the_finder_matches_reference_on_one_letter(rng, monkeypatch
     from synchrolab import sync
 
     monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", 2)
-    monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
     found = spy_on(monkeypatch, "_closest_source")
     outcomes = []
     for trial in range(60):
@@ -505,7 +525,6 @@ def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypat
     # the finder
     from synchrolab import sync
 
-    monkeypatch.setattr(sync, "_BALL_AFTER_VISITS", 0)
     auts = [two_component_automaton(rng, int(rng.integers(2, 13)), int(rng.integers(2, 13)), 2) for _ in range(30)]
     # stuck images of 21 and 31 states, over the finder's default gate
     auts += [permutation_beside_random(rng, 20, 40), permutation_beside_random(rng, 30, 60)]
