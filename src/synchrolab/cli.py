@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import experiments
-from .core import StateSet, cerny_automaton, read_dfa, write_dfa
+from .core import _MAX_TEXT_ALPHABET, StateSet, cerny_automaton, read_dfa, write_dfa
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 from .randmodel import (
     FunctionalGraph,
@@ -77,7 +77,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_text_alphabet(k: int) -> None:
+    # Words are printed as text, one character a..z per letter.
+    if k > _MAX_TEXT_ALPHABET:
+        raise InvalidInputError(
+            f"{k} letters have no textual form (only a..z are mapped, at most {_MAX_TEXT_ALPHABET} letters)"
+        )
+
+
 def _cmd_gen(args) -> int:
+    _check_text_alphabet(args.k)
     aut = sample_uniform_automaton(args.n, args.k, Seed(args.seed))
     write_dfa(aut, args.out)
     print(f"wrote n={aut.n} k={aut.k} automaton to {args.out}")
@@ -108,7 +117,9 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    word = exact_shortest_reset(read_dfa(args.infile))
+    aut = read_dfa(args.infile)
+    _check_text_alphabet(aut.k)
+    word = exact_shortest_reset(aut)
     if word is None:
         print(json.dumps({"word": None, "length": None}))
     else:

@@ -12,18 +12,19 @@ rounds: the pairs within r = 2 letters of the diagonal, found by a reverse
 level BFS over the letters' preimages and kept as their sorted keys
 code << 7 | distance.  A round's search stops r levels short of the
 diagonal and finishes its word inside the ball with the same step, with
-the word of the search without a ball (r = 0).  On an image of 16 states
-or more, greedy finds its closest pair from the images x(I) of the image
-under the words x of each length, with the ball pairs inside each x(I)
-listed from a row index over the ball's keys, and searches from that one
-pair.  The search and the power-set oracle store each node's parent as
-letter * width + position and rebuild words with _reconstruct_word.  The
-all-pairs radius is the same reverse BFS run to the end,
-direction-optimising as in Beamer, Asanovic and Patterson (SC 2012): it
-pushes a sparse level with the ball's level step, and pulls a dense one,
-each pair looking up its images in n x n bool matrices of the level and
-of the pairs seen.  The push step's counts, known before it spawns a
-pair, decide which.
+the word of the search without a ball (r = 0).  Greedy finds each round's
+closest pair and its merge length from the images x(I) of the image under
+the words x of each length, with the ball pairs inside each x(I) listed
+from a row index over the ball's keys, or on a small image looked up pair
+by pair, and reads the search's word off that pair's own images, walked
+back from the diagonal (_pair_word).  The search and the power-set oracle
+store each node's parent as letter * width + position and rebuild words
+with _reconstruct_word.  The all-pairs radius is the same reverse BFS
+run to the end, direction-optimising as in Beamer, Asanovic and Patterson
+(SC 2012): it pushes a sparse level with the ball's level step, and pulls
+a dense one, each pair looking up its images in n x n bool matrices of
+the level and of the pairs seen.  The push step's counts, known before it
+spawns a pair, decide which.
 """
 
 from __future__ import annotations
@@ -39,9 +40,14 @@ from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
 # Product space guards: the all-pairs radius holds at most three n x n
 # bool matrices and a sparse level (_radius_bytes); the wide BFS keeps
-# every visited pair code in memory.  Greedy's merge ball holds at most
-# _BALL_CODES * n pairs at 12 to 16 bytes each: the int64 key
-# code << 7 | distance and 4 to 8 lookup flags.
+# every visited pair code in memory, and greedy runs it only when the
+# finder below gives up, from at most PAIR_VISIT_LIMIT source pairs.
+# Greedy's merge ball holds at most _BALL_CODES * n pairs at 12 to 16
+# bytes each: the int64 key code << 7 | distance and 4 to 8 lookup flags.
+# With a ball that holds some pair, greedy finds the closest pair of every
+# image from the images of the image (_closest_source), while its levels
+# hold at most _BALL_CODES * n states in all: as int32, half the bytes of
+# the ball's codes.
 RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
 _BALL_CODES = 8
@@ -51,13 +57,6 @@ _BALL_CODES = 8
 # the finder below reaches the ball through the images of the image, so a
 # deeper ball only costs more to build.
 _BALL_RADIUS = 2
-
-# With a merge ball that holds some pair, greedy finds the closest pair of
-# an image of at least _FINDER_MIN_IMAGE states from the images of the
-# image (_closest_source), while its levels hold at most _BALL_CODES * n
-# states in all: as int32, half the bytes of the ball's _BALL_CODES * n
-# codes.  Otherwise the round runs the multi-source search.
-_FINDER_MIN_IMAGE = 16
 
 # The reverse BFS steps through a level this many pairs at a time, and makes
 # their spawned pairs in arrays of about this many codes; the ball marks its
@@ -513,6 +512,18 @@ def _ball_hits(block: np.ndarray, keys: np.ndarray, rows: np.ndarray, n: int):
         yield d, int(tri[w]), int(a[w]), int(b[w])
 
 
+def _pair_hits(block: np.ndarray, i: np.ndarray, j: np.ndarray, ball: _MergeBall, n: int):
+    """The ball pairs inside the rows of `block`, looked up pair by pair:
+    columns (i[t], j[t]) are the t-th pair of a row, in np.triu_indices
+    order.  Yields the least (distance, t, i[t], j[t]) among them, if any,
+    as _ball_hits does."""
+    at, dist = ball.find(_pair_codes(block[:, i], block[:, j], n))
+    if at.size:
+        d = int(dist.min())
+        t = int((at[dist == d] % i.size).min())
+        yield d, t, int(i[t]), int(j[t])
+
+
 def _word_images(maps, level: np.ndarray) -> np.ndarray:
     """The rows of level under each letter c in turn, t_c(level), in one
     array of the level's dtype: a gather per letter, made _LEVEL_SLICE
@@ -526,38 +537,117 @@ def _word_images(maps, level: np.ndarray) -> np.ndarray:
     return out.reshape(-1, m)
 
 
-def _closest_source(maps, cur: np.ndarray, keys: np.ndarray, rows: np.ndarray):
+def _closest_source(maps, cur: np.ndarray, ball: _MergeBall, rows: np.ndarray):
     """The positions a < b in cur of the pair that greedy's multi-source
     search picks, the first in np.triu_indices order of the pairs that
-    merge in the fewest letters; None when the levels it finds it in would
-    hold more than _BALL_CODES * n states in all.
+    merge in the fewest letters, and that number of letters D, as
+    (a, b, D); None when the levels it finds them in would hold more than
+    _BALL_CODES * n states in all.
 
     Level L is x(cur) for every word x of L letters, one row per word,
     column i holding the image of cur[i]; it is built by one gather per
     letter from level L - 1 (_word_images).  A pair that merges in L
     letters is in the ball, one letter from the diagonal, at level L - 1.
     So up to the first level with ball pairs inside its rows the states of
-    a row are distinct, and at that level L (_ball_hits) the least
-    ball distance d gives the fewest letters D = L + d of any pair: the
-    pairs at distance d there are exactly the pairs that need D.  Rows are
-    read _LEVEL_SLICE states at a time.  The ball must hold some pair.
+    a row are distinct, and at that level L the least ball distance d
+    gives the fewest letters D = L + d of any pair: the pairs at distance
+    d there are exactly the pairs that need D.  A row's ball pairs are
+    found by listing the ball pairs of its states (_ball_hits), about
+    keys / n of them per state, or, where its m (m - 1) / 2 pairs are
+    fewer, by looking each pair up in the ball (_pair_hits).  Rows are
+    read _LEVEL_SLICE states, or pairs, at a time.  The ball must hold
+    some pair.
 
     The cap on the states of all levels, not of one, also ends the search
     when the levels do not grow, as with one letter.
     """
     n, m = maps[0].size, cur.size
+    if (m - 1) * n <= 2 * ball.keys.size:
+        i, j = np.triu_indices(m, k=1)
+        height = max(1, _LEVEL_SLICE // i.size)
+        hits_in = lambda block: _pair_hits(block, i, j, ball, n)
+    else:
+        height = max(1, _LEVEL_SLICE // m)
+        hits_in = lambda block: _ball_hits(block, ball.keys, rows, n)
     level = cur.astype(np.int32).reshape(1, m)
     built = level.size
-    height = max(1, _LEVEL_SLICE // m)
+    depth = 0
     while True:
-        hits = [hit for r in range(0, level.shape[0], height)
-                for hit in _ball_hits(level[r:r + height], keys, rows, n)]
+        hits = [hit for r in range(0, level.shape[0], height) for hit in hits_in(level[r:r + height])]
         if hits:
-            return min(hits)[2:]
+            d, _tri, a, b = min(hits)
+            return a, b, depth + d
         built += len(maps) * level.size
         if built > _BALL_CODES * n:
             return None
         level = _word_images(maps, level)
+        depth += 1
+
+
+def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Canonical codes min * n + max of the pairs {a[i], b[i]}, flat."""
+    codes = np.minimum(a, b).astype(np.int64).reshape(-1)
+    codes *= n
+    codes += np.maximum(a, b).reshape(-1)
+    return codes
+
+
+def _pair_word(maps, x: int, y: int, length: int, ball: _MergeBall) -> Word:
+    """The word that _merge_search returns from the one source {x, y} with
+    this ball, given the pair's merge length D = length.
+
+    Level j holds the images of the pair under the k^j words of j letters,
+    with no dedupe: row c * width + r is letter c's image of row r of the
+    level before (_word_images), kept as its canonical code.  A level j
+    with D - j no more than the ball's radius keeps only its rows at ball
+    distance D - j, and level D its rows on the diagonal, each with its
+    row number.  Up to the first level the ball tells, the levels are the
+    winning pair's columns of the finder's, so they stay within its cap;
+    ball lookups go _LEVEL_SLICE rows at a time.
+
+    The word is read from its end: the step into level j takes the least
+    (letter, parent code) over the rows of level j that hold the pair
+    reached so far, any row on the diagonal at level D.  That is the
+    search's tie-break.  A parent of a pair on a shortest merging path lies
+    on one too, first reached at its own level and at the exact remaining
+    distance, so the search's dedupe, its visited pairs and its cut to the
+    ball keep every such parent; and its level positions are in code order.
+    """
+    n = maps[0].size
+    states = np.array([[x, y]], dtype=np.int32)
+    levels = [(_pair_codes(states[:, 0], states[:, 1], n), None)]  # per level: codes, row numbers (None: every row)
+    for j in range(1, length + 1):
+        states = _word_images(maps, states)
+        left = length - j
+        if not left:
+            levels.append((None, np.flatnonzero(states[:, 0] == states[:, 1])))
+        elif left > ball.radius:
+            levels.append((_pair_codes(states[:, 0], states[:, 1], n), None))
+        else:
+            index, codes = [], []
+            for s in range(0, states.shape[0], _LEVEL_SLICE):
+                part = states[s:s + _LEVEL_SLICE]
+                part = _pair_codes(part[:, 0], part[:, 1], n)
+                at, dist = ball.find(part)
+                at = at[dist == left]
+                index.append(at + s)
+                codes.append(part[at])
+            index = np.concatenate(index)
+            states = states[index]
+            levels.append((np.concatenate(codes), index))
+    letters_rev = []
+    for j in range(length, 0, -1):
+        codes, rows = levels[j]
+        if codes is not None:
+            at = np.flatnonzero(codes == node)
+            rows = at if rows is None else rows[at]
+        parents = levels[j - 1][0]
+        letter, parent = np.divmod(rows, parents.size)
+        parent = parents[parent]
+        best = np.lexsort((parent, letter))[0]
+        letters_rev.append(int(letter[best]))
+        node = parent[best]
+    return Word(reversed(letters_rev))
 
 
 def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDistanceResult:
@@ -727,16 +817,16 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     Each round merges the pair of the current image that the multi-source
     pair BFS, with every pair of the image as a source, picks: it appends
     that search's word and applies it to the whole set.  The first round
-    builds one merge ball of radius _BALL_RADIUS, which every round's
-    search shares; a ball shortens a search without changing its word.  A
-    round on an image of at least _FINDER_MIN_IMAGE states first finds the
-    winning source from the images of the image (_closest_source) and
-    searches from that pair alone: every node on a shortest merging path
+    builds one merge ball of radius _BALL_RADIUS.  While the ball holds
+    some pair, a round finds the winning source and its merge length from
+    the images of the image (_closest_source) and reads the word off that
+    pair's own images (_pair_word): every node on a shortest merging path
     of the winning source carries its label in the multi-source search, so
     the word is the same.  When the ball holds no pair, as when a
     degenerate letter fills the cap at radius 0, or the finder gives up at
     its cap on the states of its levels, as on a stuck image, the round
-    runs the multi-source search.  Raises NotSynchronizableError naming a
+    runs the multi-source search with the ball, under the budget of
+    PAIR_VISIT_LIMIT source pairs.  Raises NotSynchronizableError naming a
     stuck pair when no pair of the surviving image can merge.
     """
     if A.n != aut.n:
@@ -751,32 +841,30 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     maps = [aut.letter(c) for c in range(aut.k)]
     rows = None  # the ball's row index, when the ball holds some pair
     while cur.size > 1:
-        npairs = cur.size * (cur.size - 1) // 2
-        if npairs > PAIR_VISIT_LIMIT:
-            # Under permutation letters no pair ever merges: that is the
-            # answer, not a search too large to run.
-            if all(np.bincount(aut.letter(c), minlength=aut.n).max() == 1 for c in range(aut.k)):
-                raise NotSynchronizableError((int(cur[0]), int(cur[1])))
-            raise CapacityError(
-                f"{npairs} candidate pairs exceed the search budget of {PAIR_VISIT_LIMIT} pairs "
-                "(PAIR_VISIT_LIMIT); no stuck pair is named, since only a search over those pairs could find one"
-            )
         if ball is None:
             ball = _merge_ball(aut, _BALL_RADIUS, max_codes=_BALL_CODES * aut.n)
             if ball.keys.size:
                 rows = _ball_rows(ball, aut.n)
-        pair = None
-        if rows is not None and cur.size >= _FINDER_MIN_IMAGE:
-            pair = _closest_source(maps, cur, ball.keys, rows)
-        if pair is None:
+        found = None if rows is None else _closest_source(maps, cur, ball, rows)
+        if found is not None:
+            a, b, length = found
+            word = _pair_word(maps, int(cur[a]), int(cur[b]), length, ball)
+        else:
+            npairs = cur.size * (cur.size - 1) // 2
+            if npairs > PAIR_VISIT_LIMIT:
+                # Under permutation letters no pair ever merges: that is the
+                # answer, not a search too large to run.
+                if all(np.bincount(aut.letter(c), minlength=aut.n).max() == 1 for c in range(aut.k)):
+                    raise NotSynchronizableError((int(cur[0]), int(cur[1])))
+                raise CapacityError(
+                    f"{npairs} candidate pairs exceed the search budget of {PAIR_VISIT_LIMIT} pairs "
+                    "(PAIR_VISIT_LIMIT); no stuck pair is named, since only a search over those pairs could find one"
+                )
             i, j = np.triu_indices(cur.size, k=1)
             res = _merge_search(aut, cur[i], cur[j], ball=ball)
-        else:
-            a, b = pair
-            res = _merge_search(aut, cur[a:a + 1], cur[b:b + 1], ball=ball)
-        if res is None:
-            raise NotSynchronizableError((int(cur[0]), int(cur[1])))
-        _label, word = res
+            if res is None:
+                raise NotSynchronizableError((int(cur[0]), int(cur[1])))
+            word = res[1]
         cur = _image_members(aut, _runs(word), cur)
         out.extend(word)
     return Word(out)

@@ -172,6 +172,28 @@ def test_malformed_experiment_config_exits_1(tmp_path, capsys, config):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_more_letters_than_a_to_z_exit_1_up_front(tmp_path, capsys, monkeypatch):
+    # words are printed as a..z: gen writes no 27-letter file, and exact
+    # refuses one before its power-set search
+    from synchrolab import cli
+
+    path = tmp_path / "k27.dfa"
+    code, out, err = run_cli(capsys, "gen", "--n", "5", "--k", "27", "--out", str(path))
+    assert code == 1 and out == "" and not path.exists()
+    assert err == "invalid input: 27 letters have no textual form (only a..z are mapped, at most 26 letters)\n"
+    assert run_cli(capsys, "gen", "--n", "5", "--k", "26", "--out", str(path))[0] == 0
+    assert read_dfa(path).k == 26
+
+    def no_search(aut):
+        raise AssertionError("exact searched a 27-letter automaton")
+
+    write_dfa(sample_uniform_automaton(24, 27, Seed(3)), path)
+    monkeypatch.setattr(cli, "exact_shortest_reset", no_search)
+    code, out, err = run_cli(capsys, "exact", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("invalid input: 27 letters have no textual form")
+
+
 def test_cerny_subcommand(tmp_path, capsys):
     path = tmp_path / "c5.dfa"
     code, _, _ = run_cli(capsys, "cerny", "--n", "5", "--out", str(path))

@@ -369,10 +369,11 @@ def test_merge_search_with_ball_matches_reference(rng):
 
 def test_greedy_builds_a_ball_and_keeps_the_reference_word(monkeypatch):
     # each greedy call builds one merge ball of radius 2, before its first
-    # search; the word must not change
+    # round; every round then reads its word off the finder's pair, and no
+    # round runs the pair search; the word must not change
     from synchrolab import sync
 
-    build, search, events = sync._merge_ball, sync._merge_search, []
+    build, search, pair_word, events = sync._merge_ball, sync._merge_search, sync._pair_word, []
 
     def ball_spy(*args, **kwargs):
         ball = build(*args, **kwargs)
@@ -383,15 +384,20 @@ def test_greedy_builds_a_ball_and_keeps_the_reference_word(monkeypatch):
         events.append("search")
         return search(*args, **kwargs)
 
+    def pair_word_spy(*args, **kwargs):
+        events.append("pair")
+        return pair_word(*args, **kwargs)
+
     monkeypatch.setattr(sync, "_merge_ball", ball_spy)
     monkeypatch.setattr(sync, "_merge_search", search_spy)
+    monkeypatch.setattr(sync, "_pair_word", pair_word_spy)
     for i in range(3):
         aut = sample_uniform_automaton(4000, 2, Seed(7).stream(i))
         A = image(aut, phase1_word_interleaved(4000), StateSet.full(4000))
         events.clear()
         assert greedy_synchronize(aut, A) == reference_greedy(aut, A.members.tolist())
         assert events[0] == 2 and events.count(2) == 1
-        assert events.count("search") == len(events) - 1 > 1
+        assert events.count("pair") == len(events) - 1 > 1
 
 
 def test_greedy_with_a_constant_letter_has_no_ball_and_keeps_the_reference_word(rng, monkeypatch):
@@ -444,9 +450,6 @@ def cycle_with_trees(rng, p, n):
 def test_greedy_with_the_finder_matches_reference(rng, monkeypatch):
     # a ball from the first round and the finder on every image of two or
     # more states: random subsets and phase-1 images as starts
-    from synchrolab import sync
-
-    monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", 2)
     found = spy_on(monkeypatch, "_closest_source")
     outcomes = []
     for trial in range(200):
@@ -475,9 +478,6 @@ def test_greedy_with_the_finder_matches_reference(rng, monkeypatch):
 def test_greedy_with_the_finder_matches_reference_on_one_letter(rng, monkeypatch):
     # one letter: the finder's levels hold |I| states each; trees into a
     # cycle of one state synchronize, into a cycle of two or three do not
-    from synchrolab import sync
-
-    monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", 2)
     found = spy_on(monkeypatch, "_closest_source")
     outcomes = []
     for trial in range(60):
@@ -498,7 +498,8 @@ def test_greedy_with_the_finder_matches_reference_on_one_letter(rng, monkeypatch
 @pytest.mark.parametrize("slice_size", [None, 5])
 def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size):
     # the finder's pair is the label of the multi-source search with the
-    # same ball, also when rows and ball pairs are read a few at a time
+    # same ball, and its length that search's, also when rows and ball
+    # pairs are read a few at a time; the pair's own images give the word
     from synchrolab import sync
 
     if slice_size is not None:
@@ -511,22 +512,45 @@ def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size)
         maps = [aut.letter(c) for c in range(aut.k)]
         for _ in range(4):
             cur = np.sort(rng.choice(n, size=int(rng.integers(16, 120)), replace=False))
-            pair = sync._closest_source(maps, cur, ball.keys, rows)
+            a, b, length = sync._closest_source(maps, cur, ball, rows)
             i, j = np.triu_indices(cur.size, k=1)
             label, word = sync._merge_search(aut, cur[i], cur[j], ball=ball)
-            assert pair == (i[label], j[label])
-            assert sync._merge_search(aut, cur[pair[0]:pair[0] + 1], cur[pair[1]:pair[1] + 1], ball=ball) == (0, word)
+            assert (a, b, length) == (i[label], j[label], len(word))
+            assert sync._pair_word(maps, int(cur[a]), int(cur[b]), length, ball) == word
+
+
+@pytest.mark.parametrize("slice_size", [None, 5])
+def test_pair_hits_are_the_least_ball_hit(rng, monkeypatch, slice_size):
+    # looking a row's pairs up in the ball one by one finds the same least
+    # (distance, pair) as listing the ball pairs of its states
+    from synchrolab import sync
+
+    if slice_size is not None:
+        monkeypatch.setattr(sync, "_LEVEL_SLICE", slice_size)
+    found = 0
+    for trial in range(20):
+        n = int(rng.integers(20, 400))
+        aut = tie_heavy_automaton(rng, n) if trial % 3 == 0 else sample_uniform_automaton(n, 2 + trial % 2, rng)
+        ball = sync._merge_ball(aut, 1 + trial % 3)
+        rows = sync._ball_rows(ball, n)
+        for m in (2, 3, 5, 9, 17):
+            block = np.stack([rng.choice(n, size=m, replace=False) for _ in range(int(rng.integers(1, 40)))]).astype(np.int32)
+            i, j = np.triu_indices(m, k=1)
+            listed = min(sync._ball_hits(block, ball.keys, rows, n), default=None)
+            assert min(sync._pair_hits(block, i, j, ball, n), default=None) == listed
+            found += listed is not None
+    assert found > 50
 
 
 def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypatch):
     # the finder's words double with each level, or with one letter stay as
     # many; on a stuck image it stops before its levels pass its cap, and
-    # the multi-source search names the stuck pair that it names without
-    # the finder
+    # the multi-source search names the stuck pair that it names when every
+    # round runs it
     from synchrolab import sync
 
     auts = [two_component_automaton(rng, int(rng.integers(2, 13)), int(rng.integers(2, 13)), 2) for _ in range(30)]
-    # stuck images of 21 and 31 states, over the finder's default gate
+    # stuck images of 21 and 31 states
     auts += [permutation_beside_random(rng, 20, 40), permutation_beside_random(rng, 30, 60)]
     # one letter: the trees merge round by round, then a cycle of 20 or 24
     auts += [cycle_with_trees(rng, 20, 150), cycle_with_trees(rng, 24, 400)]
@@ -539,33 +563,32 @@ def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypat
             pairs.append(exc.value.pair)
         return pairs
 
-    monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", math.inf)
-    expected = stuck_pairs()
     finder, build, calls = sync._closest_source, sync._word_images, []
+    monkeypatch.setattr(sync, "_closest_source", lambda *args: None)
+    expected = stuck_pairs()
 
-    def closest_source(maps, cur, keys, rows):
+    def closest_source(maps, cur, ball, rows):
         calls.append((maps[0].size, len(maps), [cur.size]))
-        pair = finder(maps, cur, keys, rows)
+        pair = finder(maps, cur, ball, rows)
         calls[-1] += (pair,)
         return pair
 
     def word_images(maps, level):
+        # _pair_word builds levels too, after the finder's call is complete
         out = build(maps, level)
-        calls[-1][2].append(out.size)
+        if len(calls[-1]) == 3:
+            calls[-1][2].append(out.size)
         return out
 
     monkeypatch.setattr(sync, "_closest_source", closest_source)
     monkeypatch.setattr(sync, "_word_images", word_images)
-    for gate in (16, 2):
-        monkeypatch.setattr(sync, "_FINDER_MIN_IMAGE", gate)
-        calls.clear()
-        assert stuck_pairs() == expected
-        gave_up = [(n, k, sizes) for n, k, sizes, pair in calls if pair is None]
-        assert len(gave_up) >= (4 if gate == 16 else len(auts))
-        assert {k for n, k, sizes in gave_up} == {1, 2}
-        # within the cap in all, and stopped only by it
-        assert all(sum(sizes) <= sync._BALL_CODES * n for n, k, sizes, pair in calls)
-        assert all(sum(sizes) + k * sizes[-1] > sync._BALL_CODES * n for n, k, sizes in gave_up)
+    assert stuck_pairs() == expected
+    gave_up = [(n, k, sizes) for n, k, sizes, pair in calls if pair is None]
+    assert len(gave_up) >= len(auts)
+    assert {k for n, k, sizes in gave_up} == {1, 2}
+    # within the cap in all, and stopped only by it
+    assert all(sum(sizes) <= sync._BALL_CODES * n for n, k, sizes, pair in calls)
+    assert all(sum(sizes) + k * sizes[-1] > sync._BALL_CODES * n for n, k, sizes in gave_up)
 
 
 def test_closest_source_memory_at_its_cap(rng):
@@ -581,10 +604,59 @@ def test_closest_source_memory_at_its_cap(rng):
     cur = np.arange(20, dtype=np.int64)
     tracemalloc.start()
     try:
-        assert sync._closest_source(maps, cur, ball.keys, rows) is None
+        assert sync._closest_source(maps, cur, ball, rows) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < sync._BALL_CODES * n * 8
+
+
+@pytest.mark.parametrize("slice_size", [None, 5])
+def test_pair_word_is_the_search_word_of_its_pair(rng, monkeypatch, slice_size):
+    # the word read off a pair's own images, given its merge length, is the
+    # search's word from that pair alone, for one to three letters, tied
+    # letters, balls of radius 0 to 2, and ball lookups a few rows at a time
+    from synchrolab import sync
+
+    if slice_size is not None:
+        monkeypatch.setattr(sync, "_LEVEL_SLICE", slice_size)
+    checked = 0
+    for trial in range(40):
+        n = int(rng.integers(3, 40))
+        aut = tie_heavy_automaton(rng, n) if trial % 4 == 3 else sample_uniform_automaton(n, 1 + trial % 4, rng)
+        maps = [aut.letter(c) for c in range(aut.k)]
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(3):
+            ball = sync._merge_ball(aut, r)
+            for x, y in pairs[::len(pairs) // 12 + 1]:
+                res = sync._merge_search(aut, np.array([x]), np.array([y]), ball=ball)
+                if res is not None:
+                    assert sync._pair_word(maps, x, y, len(res[1]), ball) == res[1]
+                    checked += 1
+    assert checked > 600
+
+
+def test_pair_word_memory_on_a_deep_pair(rng):
+    # the deepest of some random pairs at n = 200000, whose levels up to
+    # the ball hold about n states: the word's levels stay within the
+    # finder's cap, the bytes of the ball's 8n codes
+    from synchrolab import sync
+
+    n = 200_000
+    aut = sample_uniform_automaton(n, 2, rng)
+    ball = sync._merge_ball(aut, sync._BALL_RADIUS, max_codes=sync._BALL_CODES * n)
+    rows = sync._ball_rows(ball, n)
+    maps = [aut.letter(c) for c in range(aut.k)]
+    pairs = [np.sort(rng.choice(n, size=2, replace=False)) for _ in range(10)]
+    length, x, y = max((sync._closest_source(maps, p, ball, rows)[2], int(p[0]), int(p[1])) for p in pairs)
+    assert 2 * 2 ** (length - sync._BALL_RADIUS) > n / 4
+    tracemalloc.start()
+    try:
+        word = sync._pair_word(maps, x, y, length, ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (0, word) == sync._merge_search(aut, np.array([x]), np.array([y]), ball=ball)
     assert peak < sync._BALL_CODES * n * 8
 
 
@@ -744,9 +816,16 @@ def test_greedy_pair_budget_guard():
     with pytest.raises(CapacityError, match="candidate pairs exceed the search budget") as exc:
         greedy_synchronize(Automaton(table), StateSet.full(7000))
     assert str(exc.value) == (
-        "24496500 candidate pairs exceed the search budget of 20000000 pairs (PAIR_VISIT_LIMIT); "
+        "24489501 candidate pairs exceed the search budget of 20000000 pairs (PAIR_VISIT_LIMIT); "
         "no stuck pair is named, since only a search over those pairs could find one"
     )
+
+
+def test_greedy_from_the_whole_state_set_past_the_pair_budget():
+    # 10^4 states are 49995000 source pairs, past the multi-source search's
+    # budget; the finder names each round's pair without it
+    aut = sample_uniform_automaton(10_000, 2, Seed(7).stream(0))
+    assert is_reset_word(aut, greedy_synchronize(aut, StateSet.full(10_000)))
 
 
 def test_greedy_rejects_empty_set():
