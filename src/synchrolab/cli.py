@@ -94,11 +94,11 @@ def _cmd_gen(args) -> int:
 
 
 def _load_or_sample(args):
-    if args.infile and args.n:
+    if args.infile is not None and args.n is not None:
         raise InvalidInputError("give either --in or --n, not both")
-    if args.infile:
+    if args.infile is not None:
         return read_dfa(args.infile)
-    if args.n:
+    if args.n is not None:
         return sample_uniform_automaton(args.n, 2, Seed(args.seed))
     raise InvalidInputError("need --in FILE or --n N")
 

@@ -97,7 +97,7 @@ class ExperimentConfig:
             raise InvalidInputError("trials must be one count or one per n")
         if any(t < 1 for t in self.trials):
             raise InvalidInputError("trial counts must be at least 1")
-        self.seed = _int("seed", self.seed)
+        self.seed = Seed(_int("seed", self.seed)).master
         if not (self.out is None or isinstance(self.out, str)):
             raise InvalidInputError(f"out must be a path string, got {self.out!r}")
         if not isinstance(self.overrides, dict):

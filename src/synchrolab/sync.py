@@ -5,14 +5,12 @@ oracle over the power set.
 A pair of states {u, v}, u < v, has one encoding everywhere: the canonical
 int64 code u * n + v.
 
-The forward pair search has one level step (_next_level): a level's
-children, each kept once with its least (source label, letter, parent).
-Greedy builds one merge ball in its first round and shares it between its
-rounds: the pairs within r = 2 letters of the diagonal, found by a reverse
-level BFS over the letters' preimages and kept as their sorted keys
-code << 7 | distance.  A round's search stops r levels short of the
-diagonal and finishes its word inside the ball with the same step, with
-the word of the search without a ball (r = 0).  Greedy finds each round's
+The forward pair search is a plain multi-source BFS with one level step
+(_next_level): a level's children, each kept once with its least (source
+label, letter, parent).  Greedy builds one merge ball in its first round
+and shares it between its rounds: the pairs within r = 2 letters of the
+diagonal, found by a reverse level BFS over the letters' preimages and
+kept as their sorted keys code << 7 | distance.  Greedy finds each round's
 closest pair and its merge length from the images x(I) of the image under
 the words x of each length, with the ball pairs inside each x(I) listed
 from a row index over the ball's keys, or on a small image looked up pair
@@ -217,20 +215,14 @@ class _MergeBall(_KeyTable):
     """The pairs within `radius` letters of the diagonal, as the sorted keys
     code << 7 | distance of their canonical codes u * n + v (u < v).
 
-    Radius 0 is no ball: the search then finds merges by trying letters.
-    A ball of positive radius with no keys means no pair merges at all.
+    Radius 0 is no ball: greedy then runs the multi-source search in every
+    round.  A ball of positive radius with no keys means no pair merges at
+    all.
     """
 
     def __init__(self, keys: np.ndarray, radius: int):
         super().__init__(keys, 7)
         self.radius = radius
-
-    def distance(self, codes: np.ndarray) -> np.ndarray:
-        """Merge distance of each code, 0 for codes outside the ball."""
-        dist = np.zeros(codes.size, dtype=np.int8)
-        at, d = self.find(codes)
-        dist[at] = d
-        return dist
 
 
 _NO_BALL = _MergeBall(np.empty(0, dtype=np.int64), 0)
@@ -375,7 +367,7 @@ def _next_level(cand_codes: np.ndarray, labels: np.ndarray):
     return cand_codes[starts], keys >> shift, keys & ((1 << shift) - 1)
 
 
-def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT, ball=_NO_BALL):
+def _merge_search(aut, src_x, src_y, max_len=None):
     """Level-synchronous BFS over unordered pairs from many sources at once.
 
     src_x/src_y are canonical (x < y) pairs in lexicographic order; each BFS
@@ -383,23 +375,15 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
     number of steps, so a closest source is found deterministically (ties
     broken by source index, then letter, then frontier position).  Returns
     (source_index, word) or None when no source can merge within max_len
-    letters (None = search to exhaustion).
+    letters (None = search to exhaustion).  Raises CapacityError once the
+    search has visited more than PAIR_VISIT_LIMIT pairs.
 
-    With a merge ball of radius r the BFS stops at the first level L with
-    a node in the ball: the closest sources merge in D = L + (least ball
-    distance there) letters.  It cuts that level to the nodes of the
-    smallest such label and steps on inside the ball, keeping the children
-    one letter closer to the diagonal.  Every node on a shortest merging
-    path of that source is first reached at its level with its label, so
-    the word is the one the search without a ball returns; that search is
-    the case r = 0, where a node is known to be at distance 1 once some
-    letter merges it.
+    The search stops at the first level with a child on the diagonal: the
+    least label there wins, and its word ends in the least letter * width +
+    position of the diagonal children of that label's nodes.
     """
     n = aut.n
-    k = aut.k
-    letter_maps = [aut.letter(c) for c in range(k)]
-    if ball.radius and not ball.keys.size:
-        return None
+    letter_maps = [aut.letter(c) for c in range(aut.k)]
     codes = src_x.astype(np.int64) * n + src_y.astype(np.int64)
     labels = np.arange(codes.size, dtype=np.int64)
     # Per level below the sources: each node's candidate index
@@ -407,53 +391,27 @@ def _merge_search(aut, src_x, src_y, max_len=None, visit_limit=PAIR_VISIT_LIMIT,
     steps = []
     visited = codes
     while codes.size:
-        # near[i] > 0: node i merges in exactly near[i] letters.
-        near = ball.distance(codes) if ball.radius else None
-        if near is None or not near.any():
-            if max_len is not None and len(steps) + ball.radius + 1 > max_len:
-                return None
-            cand_codes, diagonal = _canonical_children(letter_maps, codes, n)
-            # A pair with a child on the diagonal merges in one letter.
-            near = diagonal.reshape(k, -1).any(axis=0) if diagonal.any() else None
-        if near is not None:
-            break
+        if max_len is not None and len(steps) + 1 > max_len:
+            return None
         width = codes.size
+        cand_codes, diagonal = _canonical_children(letter_maps, codes, n)
+        if diagonal.any():
+            hit = np.flatnonzero(diagonal)
+            hit_labels = labels[hit % width]
+            label = hit_labels.min()
+            letter, pos = divmod(int(hit[hit_labels == label][0]), width)
+            return int(label), _reconstruct_word(steps, pos, letter)
         codes, labels, index = _next_level(cand_codes, labels)
         fresh = ~_in_sorted(visited, codes)
         codes = codes[fresh]
-        if codes.size == 0:
-            return None
-        if visited.size + codes.size > visit_limit:
-            raise CapacityError(f"pair search visited more than {visit_limit} pairs")
+        if visited.size + codes.size > PAIR_VISIT_LIMIT:
+            raise CapacityError(f"pair search visited more than {PAIR_VISIT_LIMIT} pairs")
         steps.append((index[fresh], width))
         labels = labels[fresh]
         # codes is sorted and disjoint from visited: the stable sort merges
         # the two runs in linear time.
         visited = np.sort(np.concatenate([visited, codes]), kind="stable")
-    else:
-        return None
-
-    hit = np.flatnonzero(near)
-    length = near[hit].astype(np.int64)
-    best = int(length.min())
-    if max_len is not None and len(steps) + best > max_len:
-        return None
-    hit = hit[length == best]
-    label = labels[hit].min()
-    hit = hit[labels[hit] == label]
-    codes, labels = codes[hit], labels[hit]
-    if steps:
-        index, width = steps[-1]
-        steps[-1] = index[hit], width
-    for remaining in range(best - 1, 0, -1):
-        width = codes.size
-        codes, labels, index = _next_level(_canonical_children(letter_maps, codes, n)[0], labels)
-        keep = ball.distance(codes) == remaining
-        codes, labels = codes[keep], labels[keep]
-        steps.append((index[keep], width))
-    # The first diagonal child has the least index letter * width + position.
-    letter, pos = divmod(int(np.flatnonzero(_canonical_children(letter_maps, codes, n)[1])[0]), codes.size)
-    return int(label), _reconstruct_word(steps, pos, letter)
+    return None
 
 
 def _ball_rows(ball: _MergeBall, n: int) -> np.ndarray:
@@ -593,8 +551,8 @@ def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 
 def _pair_word(maps, x: int, y: int, length: int, ball: _MergeBall) -> Word:
-    """The word that _merge_search returns from the one source {x, y} with
-    this ball, given the pair's merge length D = length.
+    """The word that _merge_search returns from the one source {x, y},
+    given the pair's merge length D = length.
 
     Level j holds the images of the pair under the k^j words of j letters,
     with no dedupe: row c * width + r is letter c's image of row r of the
@@ -609,9 +567,9 @@ def _pair_word(maps, x: int, y: int, length: int, ball: _MergeBall) -> Word:
     (letter, parent code) over the rows of level j that hold the pair
     reached so far, any row on the diagonal at level D.  That is the
     search's tie-break.  A parent of a pair on a shortest merging path lies
-    on one too, first reached at its own level and at the exact remaining
-    distance, so the search's dedupe, its visited pairs and its cut to the
-    ball keep every such parent; and its level positions are in code order.
+    on one too, first reached at its own level, so the search's dedupe and
+    its visited pairs keep every such parent; and its level positions are
+    in code order.
     """
     n = maps[0].size
     states = np.array([[x, y]], dtype=np.int32)
@@ -825,9 +783,10 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     the word is the same.  When the ball holds no pair, as when a
     degenerate letter fills the cap at radius 0, or the finder gives up at
     its cap on the states of its levels, as on a stuck image, the round
-    runs the multi-source search with the ball, under the budget of
-    PAIR_VISIT_LIMIT source pairs.  Raises NotSynchronizableError naming a
-    stuck pair when no pair of the surviving image can merge.
+    runs the multi-source search, under the budget of PAIR_VISIT_LIMIT
+    source pairs.  Raises NotSynchronizableError naming a stuck pair when
+    no pair of the surviving image can merge: a ball of positive radius
+    with no pair tells that without a search.
     """
     if A.n != aut.n:
         raise InvalidInputError(
@@ -860,8 +819,11 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
                     f"{npairs} candidate pairs exceed the search budget of {PAIR_VISIT_LIMIT} pairs "
                     "(PAIR_VISIT_LIMIT); no stuck pair is named, since only a search over those pairs could find one"
                 )
+            if ball.radius and not ball.keys.size:
+                # No letter merges any pair, so no pair merges at all.
+                raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             i, j = np.triu_indices(cur.size, k=1)
-            res = _merge_search(aut, cur[i], cur[j], ball=ball)
+            res = _merge_search(aut, cur[i], cur[j])
             if res is None:
                 raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             word = res[1]

@@ -88,6 +88,10 @@ def test_sync_requires_exactly_one_source(tmp_path, capsys):
     write_dfa(constant_automaton(4), path)
     assert run_cli(capsys, "sync")[0] == 1
     assert run_cli(capsys, "sync", "--in", str(path), "--n", "5")[0] == 1
+    # --n 0 is a source too, and no valid one
+    assert run_cli(capsys, "sync", "--in", str(path), "--n", "0")[0] == 1
+    code, _, err = run_cli(capsys, "sync", "--n", "0")
+    assert code == 1 and "need at least one state" in err
 
 
 def test_pairs_constant_radius(tmp_path, capsys):

@@ -83,6 +83,9 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         ExperimentConfig(experiment="unary-image", n_list=[10], trials=1,
                          overrides={"bogus": 1})
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidInputError, match="unsigned 64-bit"):
+            ExperimentConfig(experiment="unary-image", n_list=[10], trials=1, seed=seed)
 
 
 def test_config_json_round_trip(tmp_path):

@@ -182,6 +182,14 @@ def two_component_automaton(rng, n1, n2, k):
     return Automaton(np.vstack([left, right]))
 
 
+def tie_heavy_automaton(rng, n):
+    """Three letters: a random map, a map into a third of the states, and a
+    copy of the first letter, so equal-length merges are common."""
+    a = rng.integers(0, n, n)
+    b = rng.integers(0, max(1, n // 3), n)
+    return Automaton(np.stack([a, b, a], axis=1))
+
+
 def test_merge_search_word_matches_reference(rng):
     # the exact (label, word), not just its length, for every tie-break:
     # depth, then source label, then letter, then frontier position
@@ -191,6 +199,8 @@ def test_merge_search_word_matches_reference(rng):
         k = 2 + trial % 2
         if trial % 3 == 0:
             aut = two_component_automaton(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)), k)
+        elif trial % 4 == 1:
+            aut = tie_heavy_automaton(rng, int(rng.integers(3, 40)))
         else:
             aut = sample_uniform_automaton(int(rng.integers(3, 40)), k, rng)
         pairs = list(itertools.combinations(range(aut.n), 2))
@@ -206,15 +216,17 @@ def test_merge_search_word_matches_reference(rng):
                 assert res == (expected[0], Word(expected[1]))
 
 
-def test_merge_search_visit_guard_boundary():
+def test_merge_search_visit_guard_boundary(monkeypatch):
     # from (0, 3) the cyclic shift visits (1, 4) and (2, 5): three pairs in all
-    from synchrolab.sync import _merge_search
+    from synchrolab import sync
 
     aut = permutation_automaton(6)
     src = np.array([0], dtype=np.int64), np.array([3], dtype=np.int64)
-    assert _merge_search(aut, *src, visit_limit=3) is None
+    monkeypatch.setattr(sync, "PAIR_VISIT_LIMIT", 3)
+    assert sync._merge_search(aut, *src) is None
+    monkeypatch.setattr(sync, "PAIR_VISIT_LIMIT", 2)
     with pytest.raises(CapacityError, match="pair search visited more than 2 pairs"):
-        _merge_search(aut, *src, visit_limit=2)
+        sync._merge_search(aut, *src)
 
 
 def reference_greedy(aut, states):
@@ -293,8 +305,8 @@ def test_merge_ball_holds_the_pairs_within_its_radius(rng):
             assert ball.keys.dtype == np.int64
             assert np.all(np.diff(ball.keys >> 7) > 0)
             assert ball_pairs(ball) == within(dist, r)
-            lookup = ball.distance(np.arange(aut.n * aut.n, dtype=np.int64))
-            assert {int(c): int(lookup[c]) for c in np.flatnonzero(lookup)} == within(dist, r)
+            at, d = ball.find(np.arange(aut.n * aut.n, dtype=np.int64))
+            assert dict(zip(at.tolist(), d.tolist())) == within(dist, r)
 
 
 def test_merge_ball_code_cap_lowers_the_radius(rng):
@@ -318,53 +330,10 @@ def test_merge_ball_of_permutation_automaton_is_empty():
 
     ball = sync._merge_ball(permutation_automaton(12, 3), 4)
     assert ball.radius == 4 and ball.keys.size == 0
-    src = np.array([0, 2]), np.array([5, 7])
-    assert sync._merge_search(permutation_automaton(12, 3), *src, ball=ball) is None
     # greedy, whose ball holds no pair, still names the stuck pair
     with pytest.raises(NotSynchronizableError) as exc:
         greedy_synchronize(permutation_automaton(12, 3), StateSet(12, [3, 5, 9]))
     assert exc.value.pair == (3, 5)
-
-
-def tie_heavy_automaton(rng, n):
-    """Three letters: a random map, a map into a third of the states, and a
-    copy of the first letter, so equal-length merges are common."""
-    a = rng.integers(0, n, n)
-    b = rng.integers(0, max(1, n // 3), n)
-    return Automaton(np.stack([a, b, a], axis=1))
-
-
-def test_merge_search_with_ball_matches_reference(rng):
-    # the exact (label, word) for every radius, source set and cut-off
-    from synchrolab.sync import _merge_ball, _merge_search
-
-    for trial in range(60):
-        n = int(rng.integers(3, 36))
-        if trial % 3 == 0:
-            aut = tie_heavy_automaton(rng, n)
-        elif trial % 3 == 1:
-            aut = two_component_automaton(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)), 3)
-        else:
-            aut = sample_uniform_automaton(n, 2, rng)
-        pairs = list(itertools.combinations(range(aut.n), 2))
-        count = int(rng.integers(1, min(len(pairs), 20) + 1))
-        drawn = [pairs[i] for i in np.sort(rng.choice(len(pairs), size=count, replace=False))]
-        for r in range(5):
-            ball = _merge_ball(aut, r)
-            # Sources from inside the ball hit it at level 0, before any
-            # step; several of them share the least distance.  Taking them
-            # evenly spaced draws nothing, so `drawn` sees the same stream.
-            inside = sorted(divmod(code, aut.n) for code in ball_pairs(ball))
-            inside = inside[::len(inside) // 12 + 1]
-            for sources in (drawn, inside) if inside else (drawn,):
-                src = np.array(sources, dtype=np.int64)
-                for max_len in (None, 1, 2, 3, 5):
-                    expected = reference_merge_search(aut, sources, max_len)
-                    res = _merge_search(aut, src[:, 0], src[:, 1], max_len=max_len, ball=ball)
-                    if expected is None:
-                        assert res is None
-                    else:
-                        assert res == (expected[0], Word(expected[1]))
 
 
 def test_greedy_builds_a_ball_and_keeps_the_reference_word(monkeypatch):
@@ -514,7 +483,7 @@ def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size)
             cur = np.sort(rng.choice(n, size=int(rng.integers(16, 120)), replace=False))
             a, b, length = sync._closest_source(maps, cur, ball, rows)
             i, j = np.triu_indices(cur.size, k=1)
-            label, word = sync._merge_search(aut, cur[i], cur[j], ball=ball)
+            label, word = sync._merge_search(aut, cur[i], cur[j])
             assert (a, b, length) == (i[label], j[label], len(word))
             assert sync._pair_word(maps, int(cur[a]), int(cur[b]), length, ball) == word
 
@@ -629,7 +598,7 @@ def test_pair_word_is_the_search_word_of_its_pair(rng, monkeypatch, slice_size):
         for r in range(3):
             ball = sync._merge_ball(aut, r)
             for x, y in pairs[::len(pairs) // 12 + 1]:
-                res = sync._merge_search(aut, np.array([x]), np.array([y]), ball=ball)
+                res = sync._merge_search(aut, np.array([x]), np.array([y]))
                 if res is not None:
                     assert sync._pair_word(maps, x, y, len(res[1]), ball) == res[1]
                     checked += 1
@@ -656,7 +625,7 @@ def test_pair_word_memory_on_a_deep_pair(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (0, word) == sync._merge_search(aut, np.array([x]), np.array([y]), ball=ball)
+    assert (0, word) == sync._merge_search(aut, np.array([x]), np.array([y]))
     assert peak < sync._BALL_CODES * n * 8
 
 
@@ -794,6 +763,21 @@ def test_greedy_cerny_is_verified_and_not_shorter_than_optimum(cerny4):
     w = greedy_synchronize(cerny4, StateSet.full(4))
     assert is_reset_word(cerny4, w)
     assert len(w) >= 9
+
+
+def test_greedy_on_cerny_automata_matches_reference(monkeypatch):
+    # Cerny pairs merge in up to n (n - 1) / 2 letters, so the finder gives
+    # up at its cap in some rounds: the multi-source search then runs while
+    # the ball holds pairs
+    balls = spy_on(monkeypatch, "_merge_ball")
+    searches = spy_on(monkeypatch, "_merge_search")
+    for n in range(4, 17):
+        balls.clear()
+        searches.clear()
+        aut = cerny_automaton(n)
+        assert greedy_synchronize(aut, StateSet.full(n)) == reference_greedy(aut, range(n))
+        assert len(balls) == 1 and balls[0].keys.size
+        assert searches
 
 
 def test_greedy_permutation_reports_stuck_pair():
