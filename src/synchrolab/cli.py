@@ -128,9 +128,9 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_cyclic(args) -> int:
-    if bool(args.infile) == bool(args.p_json):
+    if (args.infile is None) == (args.p_json is None):
         raise InvalidInputError("give exactly one of --in or --p-json")
-    if args.infile:
+    if args.infile is not None:
         graph = FunctionalGraph.from_automaton(read_dfa(args.infile))
         print(json.dumps({"cyclic_count": len(cyclic_states(graph))}))
     else:

@@ -91,6 +91,16 @@ def _preimage_runs(succ: np.ndarray, n: int):
     return np.argsort(succ), start, count
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c in turn, as one array: the
+    positions within their runs of the members of runs of these lengths."""
+    ends = counts.cumsum()
+    out = np.arange(ends[-1], dtype=np.int64)
+    ends -= counts
+    out -= ends.repeat(counts)
+    return out
+
+
 class Word:
     """Immutable letter sequence; may be empty."""
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Automaton, StateSet, image, is_reset_word, iterate_unary_image
+from .core import Automaton, StateSet, _as_index, image, is_reset_word, iterate_unary_image
 from .errors import InvalidInputError, NotSynchronizableError
 from .randmodel import (
     FunctionalGraph,
@@ -449,7 +449,7 @@ def worker_count(workers: int | None = None) -> int:
     """Requested worker count, else the SYNCHROLAB_THREADS cap, else the
     available parallelism."""
     if workers is not None:
-        return max(1, int(workers))
+        return max(1, _as_index(workers, "worker count"))
     env = os.environ.get(WORKER_ENV_VAR)
     if env:
         try:

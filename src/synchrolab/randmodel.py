@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, _as_index, _as_int_array, _power, _preimage_runs, _sorted_unique
+from .core import Automaton, StateSet, _as_index, _as_int_array, _offsets, _power, _preimage_runs, _sorted_unique
 from .errors import CapacityError, InvalidInputError
 
 PROB_SUM_TOL = 1e-12
@@ -332,8 +332,8 @@ def distance_to_set(g: FunctionalGraph, targets) -> dict[int, int]:
     level, d = members, 0
     while level.size:
         c = count[level]
-        pos = np.repeat(start[level] - np.cumsum(c) + c, c)
-        pos += np.arange(pos.size)
+        pos = _offsets(c)
+        pos += start[level].repeat(c)
         level = order[pos]
         level = level[dist[level] < 0]
         d += 1

@@ -7,22 +7,18 @@ int64 code u * n + v.
 
 The forward pair search is a plain multi-source BFS with one level step
 (_next_level): a level's children, each kept once with its least (source
-label, letter, parent).  Greedy builds one merge ball in its first round
-and shares it between its rounds: the pairs within r = 2 letters of the
-diagonal, found by a reverse level BFS over the letters' preimages and
-kept as their sorted keys code << 7 | distance.  Greedy finds each round's
-closest pair and its merge length from the images x(I) of the image under
-the words x of each length, with the ball pairs inside each x(I) listed
-from a row index over the ball's keys, or on a small image looked up pair
-by pair, and reads the search's word off that pair's own images, walked
-back from the diagonal (_pair_word).  The search and the power-set oracle
-store each node's parent as letter * width + position and rebuild words
-with _reconstruct_word.  The all-pairs radius is the same reverse BFS
-run to the end, direction-optimising as in Beamer, Asanovic and Patterson
-(SC 2012): it pushes a sparse level with the ball's level step, and pulls
-a dense one, each pair looking up its images in n x n bool matrices of
-the level and of the pairs seen.  The push step's counts, known before it
-spawns a pair, decide which.
+label, letter, parent).  Greedy finds each round's closest pair and its
+merge length from the images x(I) of the image under the words x of each
+length: the first length at which some x(I) holds one state twice
+(_closest_source).  It reads the search's word off that pair's own images,
+walked back from the diagonal (_pair_word).  The search and the power-set
+oracle store each node's parent as letter * width + position and rebuild
+words with _reconstruct_word.  The all-pairs radius is a reverse level BFS
+from the diagonal, direction-optimising as in Beamer, Asanovic and
+Patterson (SC 2012): it pushes a sparse level by spawning the pairs of
+preimages of each of its pairs, and pulls a dense one, each pair looking
+up its images in n x n bool matrices of the level and of the pairs seen.
+The push step's counts, known before it spawns a pair, decide which.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, Word, _as_index, _first_of_runs, _image_members, _preimage_runs, _runs, _sorted_unique
+from .core import Automaton, StateSet, Word, _as_index, _first_of_runs, _image_members, _offsets, _preimage_runs, _runs
 from .core import image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
@@ -40,25 +36,19 @@ from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 # bool matrices and a sparse level (_radius_bytes); the wide BFS keeps
 # every visited pair code in memory, and greedy runs it only when the
 # finder below gives up, from at most PAIR_VISIT_LIMIT source pairs.
-# Greedy's merge ball holds at most _BALL_CODES * n pairs at 12 to 16
-# bytes each: the int64 key code << 7 | distance and 4 to 8 lookup flags.
-# With a ball that holds some pair, greedy finds the closest pair of every
-# image from the images of the image (_closest_source), while its levels
-# hold at most _BALL_CODES * n states in all: as int32, half the bytes of
-# the ball's codes.
+# Greedy's finder (_closest_source) builds levels that hold at most
+# _FINDER_STATES * n int32 states in all, 128n bytes.  With two letters
+# 32n reaches two letters deeper than 8n, at which the finder gave up on
+# 4 images over Seed(1..40).stream(0) at n = 5 * 10^4 and on 1 of 30
+# random pairs at n = 2 * 10^5; each give-up costs a wide BFS.
 RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
-_BALL_CODES = 8
-
-# Greedy builds its merge ball in its first round, of radius _BALL_RADIUS
-# (about 3n pairs for two letters) or less where the cap would be passed:
-# the finder below reaches the ball through the images of the image, so a
-# deeper ball only costs more to build.
-_BALL_RADIUS = 2
+_FINDER_STATES = 32
 
 # The reverse BFS steps through a level this many pairs at a time, and makes
-# their spawned pairs in arrays of about this many codes; the ball marks its
-# lookup flags this many keys at a time: small temporaries.
+# their spawned pairs in arrays of about this many codes; greedy's finder
+# and _pair_word gather about this many states at a time, and the finder
+# looks for meeting states in blocks of about this many: small temporaries.
 _LEVEL_SLICE = 1 << 14
 
 # The all-pairs radius pulls a level instead of pushing it when the push
@@ -175,59 +165,6 @@ def _canonical_children(letter_maps, codes: np.ndarray, n: int):
     return out, diagonal
 
 
-class _KeyTable:
-    """Sorted int64 keys code << low | value, at most one per code, looked
-    up by code.  A table of 4 to 8 flags per key, indexed by a
-    multiplicative hash of the code, rules most codes out of a lookup
-    before the binary search."""
-
-    _HASH = np.uint64(0x9E3779B97F4A7C15)  # about 2^64 / golden ratio
-
-    def __init__(self, keys: np.ndarray, low: int):
-        self.keys = keys
-        self.low = low
-        bits = max(int(4 * keys.size).bit_length(), 1)
-        self._shift = np.uint64(64 - bits)
-        self._marked = np.zeros(1 << bits, dtype=bool)
-        for s in range(0, keys.size, _LEVEL_SLICE):
-            self._marked[self._slot(keys[s:s + _LEVEL_SLICE] >> low)] = True
-
-    def _slot(self, codes: np.ndarray) -> np.ndarray:
-        slot = codes.view(np.uint64) * self._HASH
-        slot >>= self._shift
-        return slot.view(np.int64)
-
-    def find(self, codes: np.ndarray):
-        """The positions i of the codes that have a key, ascending, and the
-        value of codes[i]'s key."""
-        maybe = np.flatnonzero(self._marked[self._slot(codes)])
-        # A code's key is the least key at or above code << low, and
-        # differs from it only in the low bits.
-        probe = codes[maybe] << self.low
-        pos = np.searchsorted(self.keys, probe)
-        pos[pos == self.keys.size] = 0
-        probe ^= self.keys[pos]
-        found = probe < (1 << self.low)
-        return maybe[found], probe[found]
-
-
-class _MergeBall(_KeyTable):
-    """The pairs within `radius` letters of the diagonal, as the sorted keys
-    code << 7 | distance of their canonical codes u * n + v (u < v).
-
-    Radius 0 is no ball: greedy then runs the multi-source search in every
-    round.  A ball of positive radius with no keys means no pair merges at
-    all.
-    """
-
-    def __init__(self, keys: np.ndarray, radius: int):
-        super().__init__(keys, 7)
-        self.radius = radius
-
-
-_NO_BALL = _MergeBall(np.empty(0, dtype=np.int64), 0)
-
-
 def _stretches(counts: np.ndarray, total: int):
     """Bounds (lo, hi) of the runs of positive counts whose sums end in one
     stretch of _LEVEL_SLICE: a run's sum passes _LEVEL_SLICE only by its
@@ -238,15 +175,6 @@ def _stretches(counts: np.ndarray, total: int):
     else:
         cuts = [0] if total else []
     return zip(cuts, [*cuts[1:], counts.size])
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for each positive count c in turn, as one array."""
-    ends = counts.cumsum()
-    out = np.arange(ends[-1], dtype=np.int64)
-    ends -= counts
-    out -= ends.repeat(counts)
-    return out
 
 
 def _spawn_run(order, sx, cx, sy, cy):
@@ -297,56 +225,6 @@ def _level_runs(letters, level, n: int):
         x, y = np.divmod(level[s:s + _LEVEL_SLICE], n)
         for order, start, count in letters:
             yield _spawn_run(order, start[x], count[x], start[y], count[y])
-
-
-def _preimage_pairs(letters, level, n: int):
-    """Codes of the pairs that a letter sends onto a pair of `level`, or onto
-    the diagonal when level is None, letter by letter (_level_runs).  Each
-    state has one image under a letter, so a code repeats only in the
-    arrays of two different letters."""
-    for run in _level_runs(letters, level, n):
-        yield from _spawned_codes(run, n)
-
-
-def _merge_ball(aut: Automaton, radius: int = np.iinfo(np.int8).max, max_codes=math.inf) -> _MergeBall:
-    """The merge ball of the given radius, by a level BFS from the diagonal.
-
-    Level d holds the pairs not in an earlier level that some letter sends
-    into level d - 1, level 0 being the diagonal (_preimage_pairs).  The BFS
-    stops after `radius` levels or at an empty level, and also before a
-    level whose candidate pairs would take the ball past max_codes codes,
-    which it finds out while making them; the radius is then the last level
-    built.  A level's candidates are merged into the ball at once, so the
-    peak is about twice the ball plus one level's candidates.
-    """
-    n = aut.n
-    if n >= 1 << 28:  # code << 7 must fit in int64
-        return _NO_BALL
-    letters = [_preimage_runs(aut.letter(c), n) for c in range(aut.k)]
-    # The ball so far as sorted keys code << 7 | distance: sorting the keys
-    # with a level's candidates keeps each code's first, nearest key.
-    keys = np.empty(0, dtype=np.int64)
-    level = None  # the codes of the last level; None: the diagonal
-    for d in range(1, radius + 1):
-        parts, size = [keys], keys.size
-        for part in _preimage_pairs(letters, level, n):
-            size += part.size
-            if size > max_codes:
-                break
-            part <<= 7
-            part |= d
-            parts.append(part)
-        if size > max_codes:
-            radius = d - 1
-            break
-        keys = np.concatenate(parts)
-        del parts
-        keys = _sorted_unique(keys, low_bits=7)
-        level = keys[keys & 0x7F == d] >> 7
-        if not level.size:
-            break
-    level = parts = None
-    return _MergeBall(keys, radius)
 
 
 def _next_level(cand_codes: np.ndarray, labels: np.ndarray):
@@ -414,74 +292,6 @@ def _merge_search(aut, src_x, src_y, max_len=None):
     return None
 
 
-def _ball_rows(ball: _MergeBall, n: int) -> np.ndarray:
-    """Row index of the ball's keys by the lesser state: the pairs (u, v),
-    u < v, in the ball are keys[rows[u]:rows[u + 1]]."""
-    first = np.arange(n + 1, dtype=np.int64)
-    first *= n << 7
-    return np.searchsorted(ball.keys, first)
-
-
-def _ball_hits(block: np.ndarray, keys: np.ndarray, rows: np.ndarray, n: int):
-    """The ball pairs inside the rows of `block`, an array of rows of
-    distinct states: yields for some of them (distance, triangular index of
-    their columns a < b, a, b), the least of these tuples among them
-    included.
-
-    Each state u lists its ball pairs (u, v) from the row index, and looks
-    v up in its own row: the block's states are the keys
-    (row * n + state) << low | column of a _KeyTable.  The listing steps
-    through the states whose pairs end in one stretch of _LEVEL_SLICE
-    (_stretches), and yields the least tuple of each stretch."""
-    height, m = block.shape
-    flat = block.reshape(-1)
-    first = rows[flat]
-    count = rows[flat + 1] - first
-    at = np.flatnonzero(count)
-    if not at.size:
-        return
-    tags = block.astype(np.int64)
-    tags += (np.arange(height, dtype=np.int64) * n)[:, None]
-    tags <<= m.bit_length()
-    tags |= np.arange(m)
-    table = _KeyTable(np.sort(tags, axis=None), m.bit_length())
-    count = count[at]
-    # The code u * n + v of a pair of the state at flat position p becomes
-    # row * n + v, p's row, by adding (row - u) * n.
-    shift = at // m
-    shift -= flat[at]
-    shift *= n
-    for lo, hi in _stretches(count, int(count.sum())):
-        c = count[lo:hi]
-        pairs = keys[_offsets(c) + first[at[lo:hi]].repeat(c)]
-        probe = pairs >> 7
-        probe += shift[lo:hi].repeat(c)
-        found, b = table.find(probe)
-        if not found.size:
-            continue
-        dist = pairs[found] & 0x7F
-        d = int(dist.min())
-        near = dist == d
-        a = (at[lo:hi] % m).repeat(c)[found[near]]
-        b = b[near]
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        tri = a * (2 * m - a - 1) // 2 + b - a - 1
-        w = int(tri.argmin())
-        yield d, int(tri[w]), int(a[w]), int(b[w])
-
-
-def _pair_hits(block: np.ndarray, i: np.ndarray, j: np.ndarray, ball: _MergeBall, n: int):
-    """The ball pairs inside the rows of `block`, looked up pair by pair:
-    columns (i[t], j[t]) are the t-th pair of a row, in np.triu_indices
-    order.  Yields the least (distance, t, i[t], j[t]) among them, if any,
-    as _ball_hits does."""
-    at, dist = ball.find(_pair_codes(block[:, i], block[:, j], n))
-    if at.size:
-        d = int(dist.min())
-        t = int((at[dist == d] % i.size).min())
-        yield d, t, int(i[t]), int(j[t])
-
-
 def _word_images(maps, level: np.ndarray) -> np.ndarray:
     """The rows of level under each letter c in turn, t_c(level), in one
     array of the level's dtype: a gather per letter, made _LEVEL_SLICE
@@ -495,51 +305,69 @@ def _word_images(maps, level: np.ndarray) -> np.ndarray:
     return out.reshape(-1, m)
 
 
-def _closest_source(maps, cur: np.ndarray, ball: _MergeBall, rows: np.ndarray):
+def _least_meeting(block: np.ndarray, n: int):
+    """The least pair of columns a < b, as a * m + b, that hold one state
+    in some row of `block`, an int array of shape (rows, m); None when the
+    states of every row are distinct.
+
+    Sorting the keys (row * n + state) << bits | column puts the columns
+    that hold one state of a row in a run, ascending, and keys equal above
+    their low bits are adjacent.  The first two columns of a run are its
+    least pair, so the least adjacent pair is the least of all."""
+    height, m = block.shape
+    bits = m.bit_length()
+    keys = block.astype(np.int64)
+    keys += (np.arange(height, dtype=np.int64) * n)[:, None]
+    keys <<= bits
+    keys |= np.arange(m)
+    keys = np.sort(keys, axis=None)
+    at = np.flatnonzero(~_first_of_runs(keys, bits)[1:])
+    if not at.size:
+        return None
+    low = (1 << bits) - 1
+    pairs = keys[at] & low
+    pairs *= m
+    pairs += keys[at + 1] & low
+    return int(pairs.min())
+
+
+def _closest_source(maps, cur: np.ndarray):
     """The positions a < b in cur of the pair that greedy's multi-source
     search picks, the first in np.triu_indices order of the pairs that
     merge in the fewest letters, and that number of letters D, as
     (a, b, D); None when the levels it finds them in would hold more than
-    _BALL_CODES * n states in all.
+    _FINDER_STATES * n states in all.
 
     Level L is x(cur) for every word x of L letters, one row per word,
     column i holding the image of cur[i]; it is built by one gather per
-    letter from level L - 1 (_word_images).  A pair that merges in L
-    letters is in the ball, one letter from the diagonal, at level L - 1.
-    So up to the first level with ball pairs inside its rows the states of
-    a row are distinct, and at that level L the least ball distance d
-    gives the fewest letters D = L + d of any pair: the pairs at distance
-    d there are exactly the pairs that need D.  A row's ball pairs are
-    found by listing the ball pairs of its states (_ball_hits), about
-    keys / n of them per state, or, where its m (m - 1) / 2 pairs are
-    fewer, by looking each pair up in the ball (_pair_hits).  Rows are
-    read _LEVEL_SLICE states, or pairs, at a time.  The ball must hold
-    some pair.
+    letter from level L - 1 (_word_images).  A word x merges cur[a] and
+    cur[b] exactly when row x of level |x| holds one state in columns a
+    and b.  So the first level L where some row holds a state twice is the
+    fewest letters D of any pair, the pairs that meet there are exactly the
+    pairs that need D, and the multi-source search, which stops at its
+    first level with a child on the diagonal, stops at D too and picks the
+    least of their source labels.  Each level is read _LEVEL_SLICE states
+    at a time (_least_meeting), and the least pair over its blocks wins.
 
     The cap on the states of all levels, not of one, also ends the search
     when the levels do not grow, as with one letter.
     """
     n, m = maps[0].size, cur.size
-    if (m - 1) * n <= 2 * ball.keys.size:
-        i, j = np.triu_indices(m, k=1)
-        height = max(1, _LEVEL_SLICE // i.size)
-        hits_in = lambda block: _pair_hits(block, i, j, ball, n)
-    else:
-        height = max(1, _LEVEL_SLICE // m)
-        hits_in = lambda block: _ball_hits(block, ball.keys, rows, n)
+    height = max(1, _LEVEL_SLICE // m)
     level = cur.astype(np.int32).reshape(1, m)
     built = level.size
     depth = 0
     while True:
-        hits = [hit for r in range(0, level.shape[0], height) for hit in hits_in(level[r:r + height])]
-        if hits:
-            d, _tri, a, b = min(hits)
-            return a, b, depth + d
         built += len(maps) * level.size
-        if built > _BALL_CODES * n:
+        if built > _FINDER_STATES * n:
             return None
         level = _word_images(maps, level)
         depth += 1
+        meets = [_least_meeting(level[r:r + height], n) for r in range(0, level.shape[0], height)]
+        meets = [pair for pair in meets if pair is not None]
+        if meets:
+            a, b = divmod(min(meets), m)
+            return a, b, depth
 
 
 def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -550,18 +378,16 @@ def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
-def _pair_word(maps, x: int, y: int, length: int, ball: _MergeBall) -> Word:
+def _pair_word(maps, x: int, y: int, length: int) -> Word:
     """The word that _merge_search returns from the one source {x, y},
     given the pair's merge length D = length.
 
     Level j holds the images of the pair under the k^j words of j letters,
     with no dedupe: row c * width + r is letter c's image of row r of the
-    level before (_word_images), kept as its canonical code.  A level j
-    with D - j no more than the ball's radius keeps only its rows at ball
-    distance D - j, and level D its rows on the diagonal, each with its
-    row number.  Up to the first level the ball tells, the levels are the
-    winning pair's columns of the finder's, so they stay within its cap;
-    ball lookups go _LEVEL_SLICE rows at a time.
+    level before (_word_images).  Levels 0 to D - 1 keep every row, as its
+    canonical code, and level D the numbers of its rows on the diagonal.
+    The levels are the winning pair's columns of the finder's, so they
+    stay within its cap.
 
     The word is read from its end: the step into level j takes the least
     (letter, parent code) over the rows of level j that hold the pair
@@ -573,38 +399,18 @@ def _pair_word(maps, x: int, y: int, length: int, ball: _MergeBall) -> Word:
     """
     n = maps[0].size
     states = np.array([[x, y]], dtype=np.int32)
-    levels = [(_pair_codes(states[:, 0], states[:, 1], n), None)]  # per level: codes, row numbers (None: every row)
-    for j in range(1, length + 1):
+    levels = []
+    for _ in range(length):
+        levels.append(_pair_codes(states[:, 0], states[:, 1], n))
         states = _word_images(maps, states)
-        left = length - j
-        if not left:
-            levels.append((None, np.flatnonzero(states[:, 0] == states[:, 1])))
-        elif left > ball.radius:
-            levels.append((_pair_codes(states[:, 0], states[:, 1], n), None))
-        else:
-            index, codes = [], []
-            for s in range(0, states.shape[0], _LEVEL_SLICE):
-                part = states[s:s + _LEVEL_SLICE]
-                part = _pair_codes(part[:, 0], part[:, 1], n)
-                at, dist = ball.find(part)
-                at = at[dist == left]
-                index.append(at + s)
-                codes.append(part[at])
-            index = np.concatenate(index)
-            states = states[index]
-            levels.append((np.concatenate(codes), index))
+    rows = np.flatnonzero(states[:, 0] == states[:, 1])
     letters_rev = []
-    for j in range(length, 0, -1):
-        codes, rows = levels[j]
-        if codes is not None:
-            at = np.flatnonzero(codes == node)
-            rows = at if rows is None else rows[at]
-        parents = levels[j - 1][0]
+    for parents in reversed(levels):
         letter, parent = np.divmod(rows, parents.size)
         parent = parents[parent]
         best = np.lexsort((parent, letter))[0]
         letters_rev.append(int(letter[best]))
-        node = parent[best]
+        rows = np.flatnonzero(parents == parent[best])
     return Word(reversed(letters_rev))
 
 
@@ -719,8 +525,8 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
     Level BFS outward from the diagonal: an unseen pair joins level d + 1
     when some letter sends it onto level d.  An n x n bool map marks the
     pairs seen, both ways round.  While a level is sparse the BFS pushes
-    it with the merge ball's level step (_push_level), which spawns the
-    pairs of preimages of each pair of the level.  When the step would
+    it (_push_level), spawning the pairs of preimages of each pair of the
+    level.  When the step would
     spawn more than _PULL_SHARE of all pairs, which its counts tell
     before any pair is spawned, the BFS pulls instead: on n x n bool
     matrices of the level, every pair looks up where each letter sends it
@@ -774,19 +580,17 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
 
     Each round merges the pair of the current image that the multi-source
     pair BFS, with every pair of the image as a source, picks: it appends
-    that search's word and applies it to the whole set.  The first round
-    builds one merge ball of radius _BALL_RADIUS.  While the ball holds
-    some pair, a round finds the winning source and its merge length from
-    the images of the image (_closest_source) and reads the word off that
-    pair's own images (_pair_word): every node on a shortest merging path
-    of the winning source carries its label in the multi-source search, so
-    the word is the same.  When the ball holds no pair, as when a
-    degenerate letter fills the cap at radius 0, or the finder gives up at
-    its cap on the states of its levels, as on a stuck image, the round
-    runs the multi-source search, under the budget of PAIR_VISIT_LIMIT
-    source pairs.  Raises NotSynchronizableError naming a stuck pair when
-    no pair of the surviving image can merge: a ball of positive radius
-    with no pair tells that without a search.
+    that search's word and applies it to the whole set.  A round finds the
+    winning source and its merge length from the images of the image
+    (_closest_source) and reads the word off that pair's own images
+    (_pair_word): every node on a shortest merging path of the winning
+    source carries its label in the multi-source search, so the word is the
+    same.  When the finder gives up at its cap on the states of its levels,
+    as on a stuck image, the round runs the multi-source search, under the
+    budget of PAIR_VISIT_LIMIT source pairs.  Raises NotSynchronizableError
+    naming a stuck pair when no pair of the surviving image can merge:
+    under permutation letters, checked once before the first round, that
+    needs no search.
     """
     if A.n != aut.n:
         raise InvalidInputError(
@@ -796,32 +600,23 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
         raise InvalidInputError("cannot synchronize an empty state set")
     cur = A.members
     out: list[int] = []
-    ball = None
     maps = [aut.letter(c) for c in range(aut.k)]
-    rows = None  # the ball's row index, when the ball holds some pair
+    if cur.size > 1 and all(np.bincount(t, minlength=aut.n).max() == 1 for t in maps):
+        # Under permutation letters no pair ever merges: that is the answer,
+        # not a search, however large the image.
+        raise NotSynchronizableError((int(cur[0]), int(cur[1])))
     while cur.size > 1:
-        if ball is None:
-            ball = _merge_ball(aut, _BALL_RADIUS, max_codes=_BALL_CODES * aut.n)
-            if ball.keys.size:
-                rows = _ball_rows(ball, aut.n)
-        found = None if rows is None else _closest_source(maps, cur, ball, rows)
+        found = _closest_source(maps, cur)
         if found is not None:
             a, b, length = found
-            word = _pair_word(maps, int(cur[a]), int(cur[b]), length, ball)
+            word = _pair_word(maps, int(cur[a]), int(cur[b]), length)
         else:
             npairs = cur.size * (cur.size - 1) // 2
             if npairs > PAIR_VISIT_LIMIT:
-                # Under permutation letters no pair ever merges: that is the
-                # answer, not a search too large to run.
-                if all(np.bincount(aut.letter(c), minlength=aut.n).max() == 1 for c in range(aut.k)):
-                    raise NotSynchronizableError((int(cur[0]), int(cur[1])))
                 raise CapacityError(
                     f"{npairs} candidate pairs exceed the search budget of {PAIR_VISIT_LIMIT} pairs "
                     "(PAIR_VISIT_LIMIT); no stuck pair is named, since only a search over those pairs could find one"
                 )
-            if ball.radius and not ball.keys.size:
-                # No letter merges any pair, so no pair merges at all.
-                raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             i, j = np.triu_indices(cur.size, k=1)
             res = _merge_search(aut, cur[i], cur[j])
             if res is None:

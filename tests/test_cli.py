@@ -126,6 +126,8 @@ def test_cyclic_expectation_from_json(capsys):
 
 def test_cyclic_requires_one_input(capsys):
     assert run_cli(capsys, "cyclic")[0] == 1
+    # an empty --in is still given: both inputs, so the command refuses
+    assert run_cli(capsys, "cyclic", "--in", "", "--p-json", "[0.5,0.5]")[0] == 1
 
 
 def test_experiment_subcommand(tmp_path, capsys):

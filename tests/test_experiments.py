@@ -19,6 +19,7 @@ from synchrolab.experiments import (
     measure_unary_image,
     run_experiment,
     summarize,
+    worker_count,
     write_records_csv,
 )
 
@@ -171,6 +172,17 @@ def test_run_unary_image_worker_count_does_not_change_results(tmp_path, monkeypa
     monkeypatch.setenv("SYNCHROLAB_THREADS", "2")
     parallel = run_experiment(ExperimentConfig(**cfg))
     assert serial.per_n == parallel.per_n
+
+
+def test_worker_count_takes_integers_only(monkeypatch):
+    monkeypatch.setenv("SYNCHROLAB_THREADS", "2")
+    assert worker_count(3) == 3
+    assert worker_count(np.int64(4)) == 4
+    assert worker_count(0) == 1
+    assert worker_count() == 2
+    for bad in (2.7, "3", True, 2.0):
+        with pytest.raises(InvalidInputError, match="worker count must be an integer"):
+            worker_count(bad)
 
 
 # one small config per experiment, each with at least two trial slots so

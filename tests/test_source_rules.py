@@ -33,3 +33,79 @@ def test_src_calls_no_numpy_unique():
         if (lines := numpy_unique_uses(ast.parse(path.read_text(), filename=str(path))))
     }
     assert found == {}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def defined_private_names(tree: ast.Module) -> dict[str, int]:
+    """{name: line} of the module's top-level functions, classes and
+    assigned names that are private (one leading underscore)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [(t.id, t.lineno) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name, line in found:
+            if is_private(name):
+                names.setdefault(name, line)
+    return names
+
+
+def imported_private_names(tree: ast.AST) -> dict[str, int]:
+    """{local name: line} of the private names a module imports."""
+    return {
+        alias.asname or alias.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if is_private(alias.asname or alias.name)
+    }
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Every name read in the module, bare or as an attribute."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def unused_private_names(modules: dict[str, ast.Module]) -> list[str]:
+    """'module:line name' for each private top-level name that no module
+    reads, and each private name a module imports but does not read."""
+    loaded = {path: loaded_names(tree) for path, tree in modules.items()}
+    everywhere = set().union(*loaded.values())
+    found = []
+    for path, tree in modules.items():
+        found += [f"{path}:{line} {name} defined" for name, line in defined_private_names(tree).items()
+                  if name not in everywhere]
+        found += [f"{path}:{line} {name} imported" for name, line in imported_private_names(tree).items()
+                  if name not in loaded[path]]
+    return sorted(found)
+
+
+def test_src_private_names_are_used():
+    # a private name is the module's own business: once nothing in src/
+    # reads it, it is dead code, and an import of one that the module does
+    # not read is a leftover
+    sample = {
+        "a.py": ast.parse("_LIMIT = 3\n_KEEP, _DROP = 1, 2\ndef _helper():\n    return _KEEP\nclass _Gone:\n    pass\n"),
+        "b.py": ast.parse("from a import _helper, _LIMIT\nx = _helper()\n"),
+    }
+    assert unused_private_names(sample) == [
+        "a.py:1 _LIMIT defined",
+        "a.py:2 _DROP defined",
+        "a.py:5 _Gone defined",
+        "b.py:1 _LIMIT imported",
+    ]
+    modules = {
+        str(path.relative_to(SRC)): ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert modules
+    assert unused_private_names(modules) == []

@@ -270,119 +270,56 @@ def test_greedy_word_from_subsets_matches_reference(rng):
                 assert greedy_synchronize(aut, A) == expected
 
 
-# ---------------------------------------------------------------------
-# merge ball: the pairs within r letters of the diagonal
-# ---------------------------------------------------------------------
-def merge_distances(aut):
-    """{code: distance} of every pair u < v that merges, by forward search."""
-    dist = {}
-    for x in range(aut.n):
-        for y in range(x + 1, aut.n):
-            d = pair_shortest_merge(aut, x, y, max_len=math.inf).distance
-            if d < math.inf:
-                dist[x * aut.n + y] = d
-    return dist
-
-
-def within(dist, r):
-    return {code: d for code, d in dist.items() if d <= r}
-
-
-def ball_pairs(ball):
-    """{code: distance} of a merge ball, decoded from its keys code << 7 | d."""
-    return dict(zip((ball.keys >> 7).tolist(), (ball.keys & 0x7F).tolist()))
-
-
-def test_merge_ball_holds_the_pairs_within_its_radius(rng):
-    from synchrolab.sync import _merge_ball
-
-    for trial in range(36):
-        aut = sample_uniform_automaton(int(rng.integers(2, 41)), 1 + trial % 3, rng)
-        dist = merge_distances(aut)
-        for r in range(1, 6):
-            ball = _merge_ball(aut, r)
-            assert ball.radius == r
-            assert ball.keys.dtype == np.int64
-            assert np.all(np.diff(ball.keys >> 7) > 0)
-            assert ball_pairs(ball) == within(dist, r)
-            at, d = ball.find(np.arange(aut.n * aut.n, dtype=np.int64))
-            assert dict(zip(at.tolist(), d.tolist())) == within(dist, r)
-
-
-def test_merge_ball_code_cap_lowers_the_radius(rng):
-    from synchrolab.sync import _merge_ball
-
-    for _ in range(20):
-        aut = sample_uniform_automaton(int(rng.integers(2, 41)), 2, rng)
-        cap = int(rng.integers(0, 3 * aut.n))
-        ball = _merge_ball(aut, 5, max_codes=cap)
-        assert ball.keys.size <= cap
-        assert ball_pairs(ball) == within(merge_distances(aut), ball.radius)
-    # every pair of a constant automaton merges in one letter: n(n-1)/2
-    # codes, found once per letter
-    assert _merge_ball(constant_automaton(9), 3, max_codes=72).keys.size == 36
-    ball = _merge_ball(constant_automaton(9), 3, max_codes=71)
-    assert ball.radius == 0 and ball.keys.size == 0
-
-
-def test_merge_ball_of_permutation_automaton_is_empty():
-    from synchrolab import sync
-
-    ball = sync._merge_ball(permutation_automaton(12, 3), 4)
-    assert ball.radius == 4 and ball.keys.size == 0
-    # greedy, whose ball holds no pair, still names the stuck pair
+def test_greedy_permutation_on_a_subset_reports_its_first_pair(monkeypatch):
+    # no letter merges any pair: greedy names the first pair of its image
+    # with neither the finder nor the search
+    found = spy_on(monkeypatch, "_closest_source")
+    searches = spy_on(monkeypatch, "_merge_search")
     with pytest.raises(NotSynchronizableError) as exc:
         greedy_synchronize(permutation_automaton(12, 3), StateSet(12, [3, 5, 9]))
     assert exc.value.pair == (3, 5)
+    assert not found and not searches
 
 
-def test_greedy_builds_a_ball_and_keeps_the_reference_word(monkeypatch):
-    # each greedy call builds one merge ball of radius 2, before its first
-    # round; every round then reads its word off the finder's pair, and no
-    # round runs the pair search; the word must not change
+def test_greedy_reads_every_round_off_the_finders_pair(monkeypatch):
+    # every round's finder call names a pair, and the round's word is then
+    # one _pair_word call; no round runs the pair search; the word must not
+    # change
     from synchrolab import sync
 
-    build, search, pair_word, events = sync._merge_ball, sync._merge_search, sync._pair_word, []
+    events = []
 
-    def ball_spy(*args, **kwargs):
-        ball = build(*args, **kwargs)
-        events.append(ball.radius)
-        return ball
+    def record(name):
+        fn = getattr(sync, name)
 
-    def search_spy(*args, **kwargs):
-        events.append("search")
-        return search(*args, **kwargs)
+        def spy(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
 
-    def pair_word_spy(*args, **kwargs):
-        events.append("pair")
-        return pair_word(*args, **kwargs)
+        monkeypatch.setattr(sync, name, spy)
 
-    monkeypatch.setattr(sync, "_merge_ball", ball_spy)
-    monkeypatch.setattr(sync, "_merge_search", search_spy)
-    monkeypatch.setattr(sync, "_pair_word", pair_word_spy)
+    for name in ("_closest_source", "_pair_word", "_merge_search"):
+        record(name)
     for i in range(3):
         aut = sample_uniform_automaton(4000, 2, Seed(7).stream(i))
         A = image(aut, phase1_word_interleaved(4000), StateSet.full(4000))
         events.clear()
         assert greedy_synchronize(aut, A) == reference_greedy(aut, A.members.tolist())
-        assert events[0] == 2 and events.count(2) == 1
-        assert events.count("pair") == len(events) - 1 > 1
+        assert len(events) > 2
+        assert events == ["_closest_source", "_pair_word"] * (len(events) // 2)
 
 
-def test_greedy_with_a_constant_letter_has_no_ball_and_keeps_the_reference_word(rng, monkeypatch):
-    # a constant letter merges every pair in one letter: the n(n-1)/2 pairs
-    # at distance 1 pass the cap of 8n codes, so the ball has radius 0 and
-    # every round runs the multi-source search without it
-    from synchrolab import sync
-
-    balls = spy_on(monkeypatch, "_merge_ball")
+def test_greedy_with_a_constant_letter_finds_every_round_and_keeps_the_reference_word(rng, monkeypatch):
+    # a constant letter merges every pair in one letter: the finder names
+    # the round's pair at its first level, and no search runs
     found = spy_on(monkeypatch, "_closest_source")
+    searches = spy_on(monkeypatch, "_merge_search")
     for n in (30, 40, 50):
         aut = Automaton(np.stack([np.full(n, n // 2), rng.integers(0, n, n)], axis=1))
         for A in (StateSet.full(n), StateSet(n, rng.choice(n, size=n // 2, replace=False))):
             assert greedy_synchronize(aut, A) == reference_greedy(aut, A.members.tolist())
-    assert [(b.radius, b.keys.size) for b in balls] == [(0, 0)] * 6
-    assert not found
+    assert [pair[2] for pair in found] == [1] * 6
+    assert not searches
 
 
 # ---------------------------------------------------------------------
@@ -417,8 +354,8 @@ def cycle_with_trees(rng, p, n):
 
 
 def test_greedy_with_the_finder_matches_reference(rng, monkeypatch):
-    # a ball from the first round and the finder on every image of two or
-    # more states: random subsets and phase-1 images as starts
+    # the finder on every image of two or more states: random subsets and
+    # phase-1 images as starts
     found = spy_on(monkeypatch, "_closest_source")
     outcomes = []
     for trial in range(200):
@@ -466,9 +403,9 @@ def test_greedy_with_the_finder_matches_reference_on_one_letter(rng, monkeypatch
 
 @pytest.mark.parametrize("slice_size", [None, 5])
 def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size):
-    # the finder's pair is the label of the multi-source search with the
-    # same ball, and its length that search's, also when rows and ball
-    # pairs are read a few at a time; the pair's own images give the word
+    # the finder's pair is the label of the multi-source search, and its
+    # length that search's, also when rows are read a few states at a time;
+    # the pair's own images give the word
     from synchrolab import sync
 
     if slice_size is not None:
@@ -476,39 +413,29 @@ def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size)
     for trial in range(12):
         n = int(rng.integers(200, 2000))
         aut = tie_heavy_automaton(rng, n) if trial % 3 == 0 else sample_uniform_automaton(n, 2 + trial % 2, rng)
-        ball = sync._merge_ball(aut, max_codes=sync._BALL_CODES * n)
-        rows = sync._ball_rows(ball, n)
         maps = [aut.letter(c) for c in range(aut.k)]
         for _ in range(4):
             cur = np.sort(rng.choice(n, size=int(rng.integers(16, 120)), replace=False))
-            a, b, length = sync._closest_source(maps, cur, ball, rows)
+            a, b, length = sync._closest_source(maps, cur)
             i, j = np.triu_indices(cur.size, k=1)
             label, word = sync._merge_search(aut, cur[i], cur[j])
             assert (a, b, length) == (i[label], j[label], len(word))
-            assert sync._pair_word(maps, int(cur[a]), int(cur[b]), length, ball) == word
+            assert sync._pair_word(maps, int(cur[a]), int(cur[b]), length) == word
 
 
-@pytest.mark.parametrize("slice_size", [None, 5])
-def test_pair_hits_are_the_least_ball_hit(rng, monkeypatch, slice_size):
-    # looking a row's pairs up in the ball one by one finds the same least
-    # (distance, pair) as listing the ball pairs of its states
+def test_least_meeting_is_the_first_pair_that_meets_in_a_row(rng):
+    # against every pair of every row, in np.triu_indices order
     from synchrolab import sync
 
-    if slice_size is not None:
-        monkeypatch.setattr(sync, "_LEVEL_SLICE", slice_size)
     found = 0
-    for trial in range(20):
-        n = int(rng.integers(20, 400))
-        aut = tie_heavy_automaton(rng, n) if trial % 3 == 0 else sample_uniform_automaton(n, 2 + trial % 2, rng)
-        ball = sync._merge_ball(aut, 1 + trial % 3)
-        rows = sync._ball_rows(ball, n)
-        for m in (2, 3, 5, 9, 17):
-            block = np.stack([rng.choice(n, size=m, replace=False) for _ in range(int(rng.integers(1, 40)))]).astype(np.int32)
-            i, j = np.triu_indices(m, k=1)
-            listed = min(sync._ball_hits(block, ball.keys, rows, n), default=None)
-            assert min(sync._pair_hits(block, i, j, ball, n), default=None) == listed
-            found += listed is not None
-    assert found > 50
+    for _ in range(300):
+        n = int(rng.integers(2, 2000))
+        m = int(rng.integers(2, 18))
+        block = rng.integers(0, n, size=(int(rng.integers(1, 40)), m)).astype(np.int32)
+        meets = [a * m + b for row in block for a, b in itertools.combinations(range(m), 2) if row[a] == row[b]]
+        assert sync._least_meeting(block, n) == min(meets, default=None)
+        found += bool(meets)
+    assert 50 < found < 250
 
 
 def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypatch):
@@ -536,9 +463,9 @@ def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypat
     monkeypatch.setattr(sync, "_closest_source", lambda *args: None)
     expected = stuck_pairs()
 
-    def closest_source(maps, cur, ball, rows):
+    def closest_source(maps, cur):
         calls.append((maps[0].size, len(maps), [cur.size]))
-        pair = finder(maps, cur, ball, rows)
+        pair = finder(maps, cur)
         calls[-1] += (pair,)
         return pair
 
@@ -556,35 +483,33 @@ def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypat
     assert len(gave_up) >= len(auts)
     assert {k for n, k, sizes in gave_up} == {1, 2}
     # within the cap in all, and stopped only by it
-    assert all(sum(sizes) <= sync._BALL_CODES * n for n, k, sizes, pair in calls)
-    assert all(sum(sizes) + k * sizes[-1] > sync._BALL_CODES * n for n, k, sizes in gave_up)
+    assert all(sum(sizes) <= sync._FINDER_STATES * n for n, k, sizes, pair in calls)
+    assert all(sum(sizes) + k * sizes[-1] > sync._FINDER_STATES * n for n, k, sizes in gave_up)
 
 
 def test_closest_source_memory_at_its_cap(rng):
     # a stuck image of 20 states: the finder builds levels up to its cap of
-    # 8n states in all and stays within the bytes of the ball's 8n codes
+    # 32n states in all and stays within the 128n bytes of 32n int32 states
     from synchrolab import sync
 
     n = 200_000
     aut = permutation_beside_random(rng, 19, n)
-    ball = sync._merge_ball(aut, max_codes=sync._BALL_CODES * n)
-    rows = sync._ball_rows(ball, n)
     maps = [aut.letter(c) for c in range(aut.k)]
     cur = np.arange(20, dtype=np.int64)
     tracemalloc.start()
     try:
-        assert sync._closest_source(maps, cur, ball, rows) is None
+        assert sync._closest_source(maps, cur) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < sync._BALL_CODES * n * 8
+    assert peak < sync._FINDER_STATES * n * 4
 
 
 @pytest.mark.parametrize("slice_size", [None, 5])
 def test_pair_word_is_the_search_word_of_its_pair(rng, monkeypatch, slice_size):
     # the word read off a pair's own images, given its merge length, is the
     # search's word from that pair alone, for one to three letters, tied
-    # letters, balls of radius 0 to 2, and ball lookups a few rows at a time
+    # letters, and gathers a few rows at a time
     from synchrolab import sync
 
     if slice_size is not None:
@@ -595,38 +520,34 @@ def test_pair_word_is_the_search_word_of_its_pair(rng, monkeypatch, slice_size):
         aut = tie_heavy_automaton(rng, n) if trial % 4 == 3 else sample_uniform_automaton(n, 1 + trial % 4, rng)
         maps = [aut.letter(c) for c in range(aut.k)]
         pairs = list(itertools.combinations(range(n), 2))
-        for r in range(3):
-            ball = sync._merge_ball(aut, r)
-            for x, y in pairs[::len(pairs) // 12 + 1]:
-                res = sync._merge_search(aut, np.array([x]), np.array([y]))
-                if res is not None:
-                    assert sync._pair_word(maps, x, y, len(res[1]), ball) == res[1]
-                    checked += 1
+        for x, y in pairs[::len(pairs) // 36 + 1]:
+            res = sync._merge_search(aut, np.array([x]), np.array([y]))
+            if res is not None:
+                assert sync._pair_word(maps, x, y, len(res[1])) == res[1]
+                checked += 1
     assert checked > 600
 
 
 def test_pair_word_memory_on_a_deep_pair(rng):
-    # the deepest of some random pairs at n = 200000, whose levels up to
-    # the ball hold about n states: the word's levels stay within the
-    # finder's cap, the bytes of the ball's 8n codes
+    # the deepest of some random pairs at n = 200000, whose levels hold
+    # about 2n states or more: they stay within the finder's cap, the 128n
+    # bytes of 32n int32 states
     from synchrolab import sync
 
     n = 200_000
     aut = sample_uniform_automaton(n, 2, rng)
-    ball = sync._merge_ball(aut, sync._BALL_RADIUS, max_codes=sync._BALL_CODES * n)
-    rows = sync._ball_rows(ball, n)
     maps = [aut.letter(c) for c in range(aut.k)]
     pairs = [np.sort(rng.choice(n, size=2, replace=False)) for _ in range(10)]
-    length, x, y = max((sync._closest_source(maps, p, ball, rows)[2], int(p[0]), int(p[1])) for p in pairs)
-    assert 2 * 2 ** (length - sync._BALL_RADIUS) > n / 4
+    length, x, y = max((sync._closest_source(maps, p)[2], int(p[0]), int(p[1])) for p in pairs)
+    assert 2 ** (length + 1) > n
     tracemalloc.start()
     try:
-        word = sync._pair_word(maps, x, y, length, ball)
+        word = sync._pair_word(maps, x, y, length)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (0, word) == sync._merge_search(aut, np.array([x]), np.array([y]))
-    assert peak < sync._BALL_CODES * n * 8
+    assert peak < sync._FINDER_STATES * n * 4
 
 
 # ---------------------------------------------------------------------
@@ -676,12 +597,12 @@ def test_radius_equals_forward_search_maximum(rng):
 
 
 def test_radius_of_cerny_automaton_is_n_choose_2():
-    # radii far past the 7-bit distances of the merge ball's keys
+    # deep radii: up to 780 levels of one or two pairs each
     for n in range(2, 41):
         assert all_pairs_merge_radius(cerny_automaton(n)) == n * (n - 1) // 2
 
 
-def test_radius_and_ball_do_not_depend_on_the_slice_size(rng, monkeypatch):
+def test_radius_does_not_depend_on_the_slice_size(rng, monkeypatch):
     from synchrolab import sync
 
     auts = [sample_uniform_automaton(int(rng.integers(2, 80)), int(rng.integers(1, 4)), rng) for _ in range(12)]
@@ -690,8 +611,7 @@ def test_radius_and_ball_do_not_depend_on_the_slice_size(rng, monkeypatch):
     auts += [Automaton(np.stack([half, rng.integers(0, n, n)], axis=1)), constant_automaton(n), cerny_automaton(9)]
 
     def results():
-        balls = [sync._merge_ball(aut, 4, max_codes=6 * aut.n) for aut in auts]
-        return [all_pairs_merge_radius(aut) for aut in auts], [(b.keys.tolist(), b.radius) for b in balls]
+        return [all_pairs_merge_radius(aut) for aut in auts]
 
     expected = results()
     for size in (1, 3, 64):
@@ -767,16 +687,12 @@ def test_greedy_cerny_is_verified_and_not_shorter_than_optimum(cerny4):
 
 def test_greedy_on_cerny_automata_matches_reference(monkeypatch):
     # Cerny pairs merge in up to n (n - 1) / 2 letters, so the finder gives
-    # up at its cap in some rounds: the multi-source search then runs while
-    # the ball holds pairs
-    balls = spy_on(monkeypatch, "_merge_ball")
+    # up at its cap in some rounds: the multi-source search then runs
     searches = spy_on(monkeypatch, "_merge_search")
     for n in range(4, 17):
-        balls.clear()
         searches.clear()
         aut = cerny_automaton(n)
         assert greedy_synchronize(aut, StateSet.full(n)) == reference_greedy(aut, range(n))
-        assert len(balls) == 1 and balls[0].keys.size
         assert searches
 
 
