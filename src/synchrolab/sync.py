@@ -10,8 +10,10 @@ The forward pair search is a plain multi-source BFS with one level step
 label, letter, parent).  Greedy finds each round's closest pair and its
 merge length from the images x(I) of the image under the words x of each
 length: the first length at which some x(I) holds one state twice
-(_closest_source).  It reads the search's word off that pair's own images,
-walked back from the diagonal (_pair_word).  The search and the power-set
+(_closest_source).  The finder keeps those levels, and one pass serves the
+whole round: the search's word is read off the winning pair's two columns,
+walked back from the diagonal (_pair_word), and the next image is the
+word's own row of the last level.  The search and the power-set
 oracle store each node's parent as letter * width + position and rebuild
 words with _reconstruct_word.  The all-pairs radius is a reverse level BFS
 from the diagonal, direction-optimising as in Beamer, Asanovic and
@@ -29,15 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Automaton, StateSet, Word, _as_index, _first_of_runs, _image_members, _offsets, _preimage_runs, _runs
-from .core import image, is_reset_word
+from .core import _sorted_unique, image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
 # Product space guards: the all-pairs radius holds at most three n x n
 # bool matrices and a sparse level (_radius_bytes); the wide BFS keeps
 # every visited pair code in memory, and greedy runs it only when the
 # finder below gives up, from at most PAIR_VISIT_LIMIT source pairs.
-# Greedy's finder (_closest_source) builds levels that hold at most
-# _FINDER_STATES * n int32 states in all, 128n bytes.  With two letters
+# Greedy's finder (_closest_source) builds and keeps levels that hold at
+# most _FINDER_STATES * n int32 states in all, 128n bytes.  With two letters
 # 32n reaches two letters deeper than 8n, at which the finder gave up on
 # 4 images over Seed(1..40).stream(0) at n = 5 * 10^4 and on 1 of 30
 # random pairs at n = 2 * 10^5; each give-up costs a wide BFS.
@@ -47,9 +49,16 @@ _FINDER_STATES = 32
 
 # The reverse BFS steps through a level this many pairs at a time, and makes
 # their spawned pairs in arrays of about this many codes; greedy's finder
-# and _pair_word gather about this many states at a time, and the finder
-# looks for meeting states in blocks of about this many: small temporaries.
+# gathers about this many states at a time and looks for meeting states in
+# blocks of about this many: small temporaries.
 _LEVEL_SLICE = 1 << 14
+
+# The finder compares the columns of images of fewer states than this
+# pairwise, over index pairs built once here (a np.triu_indices call costs
+# about as much as comparing a small level); on larger images it sorts keys
+# (_least_meeting).
+_PAIRWISE_STATES = 16
+_COLUMN_PAIRS = [np.triu_indices(m, 1) for m in range(_PAIRWISE_STATES)]
 
 # The all-pairs radius pulls a level instead of pushing it when the push
 # step would spawn more than _PULL_SHARE of all pairs, and pushes again
@@ -305,113 +314,133 @@ def _word_images(maps, level: np.ndarray) -> np.ndarray:
     return out.reshape(-1, m)
 
 
-def _least_meeting(block: np.ndarray, n: int):
+def _least_meeting(level: np.ndarray, n: int):
     """The least pair of columns a < b, as a * m + b, that hold one state
-    in some row of `block`, an int array of shape (rows, m); None when the
-    states of every row are distinct.
+    in some row of `level`, an int array of shape (rows, m); None when the
+    states of every row are distinct.  Reads the level in blocks of rows.
 
-    Sorting the keys (row * n + state) << bits | column puts the columns
-    that hold one state of a row in a run, ascending, and keys equal above
+    Under _PAIRWISE_STATES columns every pair of columns is compared, about
+    _LEVEL_SLICE compares a block, and the pairs come in np.triu_indices
+    order, which is a * m + b order.  Otherwise about _LEVEL_SLICE keys
+    (row * n + state) << bits | column are sorted a block: the columns that
+    hold one state of a row come in a run, ascending, and keys equal above
     their low bits are adjacent.  The first two columns of a run are its
-    least pair, so the least adjacent pair is the least of all."""
-    height, m = block.shape
+    least pair, so the least adjacent pair is the least of the block."""
+    height, m = level.shape
+    if m < _PAIRWISE_STATES:
+        i, j = _COLUMN_PAIRS[m]
+        step = max(1, _LEVEL_SLICE // i.size)
+        meets = np.zeros(i.size, dtype=bool)
+        for r in range(0, height, step):
+            meets |= (level[r:r + step, i] == level[r:r + step, j]).any(axis=0)
+        p = int(meets.argmax())
+        return int(i[p] * m + j[p]) if meets[p] else None
+    step = max(1, _LEVEL_SLICE // m)
     bits = m.bit_length()
-    keys = block.astype(np.int64)
-    keys += (np.arange(height, dtype=np.int64) * n)[:, None]
-    keys <<= bits
-    keys |= np.arange(m)
-    keys = np.sort(keys, axis=None)
-    at = np.flatnonzero(~_first_of_runs(keys, bits)[1:])
-    if not at.size:
-        return None
     low = (1 << bits) - 1
-    pairs = keys[at] & low
-    pairs *= m
-    pairs += keys[at + 1] & low
-    return int(pairs.min())
+    least = m * m
+    for r in range(0, height, step):
+        keys = level[r:r + step].astype(np.int64)
+        keys += (np.arange(keys.shape[0], dtype=np.int64) * n)[:, None]
+        keys <<= bits
+        keys |= np.arange(m)
+        keys = np.sort(keys, axis=None)
+        at = np.flatnonzero(~_first_of_runs(keys, bits)[1:])
+        if at.size:
+            pairs = keys[at] & low
+            pairs *= m
+            pairs += keys[at + 1] & low
+            least = min(least, int(pairs.min()))
+    return least if least < m * m else None
 
 
 def _closest_source(maps, cur: np.ndarray):
     """The positions a < b in cur of the pair that greedy's multi-source
     search picks, the first in np.triu_indices order of the pairs that
-    merge in the fewest letters, and that number of letters D, as
-    (a, b, D); None when the levels it finds them in would hold more than
+    merge in the fewest letters D, and the levels 0 to D it found them in,
+    as (a, b, levels); None when those levels would hold more than
     _FINDER_STATES * n states in all.
 
     Level L is x(cur) for every word x of L letters, one row per word,
     column i holding the image of cur[i]; it is built by one gather per
-    letter from level L - 1 (_word_images).  A word x merges cur[a] and
-    cur[b] exactly when row x of level |x| holds one state in columns a
-    and b.  So the first level L where some row holds a state twice is the
-    fewest letters D of any pair, the pairs that meet there are exactly the
-    pairs that need D, and the multi-source search, which stops at its
-    first level with a child on the diagonal, stops at D too and picks the
-    least of their source labels.  Each level is read _LEVEL_SLICE states
-    at a time (_least_meeting), and the least pair over its blocks wins.
+    letter from level L - 1 (_word_images), so row c * k^(L-1) + r is
+    letter c applied to row r, and the word x_1 ... x_L sits at row
+    sum of x_j * k^(j-1).  A word x merges cur[a] and cur[b] exactly when
+    row x of level |x| holds one state in columns a and b.  So the first
+    level L where some row holds a state twice is the fewest letters D of
+    any pair, the pairs that meet there are exactly the pairs that need D,
+    and the multi-source search, which stops at its first level with a
+    child on the diagonal, stops at D too and picks the least of their
+    source labels.  _least_meeting reads each level.
 
-    The cap on the states of all levels, not of one, also ends the search
-    when the levels do not grow, as with one letter.
+    Every level is kept, for the round's word and image, so the cap counts
+    the states of all levels, not of one; that also ends the search when
+    the levels do not grow, as with one letter.
     """
     n, m = maps[0].size, cur.size
-    height = max(1, _LEVEL_SLICE // m)
-    level = cur.astype(np.int32).reshape(1, m)
-    built = level.size
-    depth = 0
+    levels = [cur.astype(np.int32).reshape(1, m)]
+    built = m
     while True:
-        built += len(maps) * level.size
+        built += len(maps) * levels[-1].size
         if built > _FINDER_STATES * n:
             return None
-        level = _word_images(maps, level)
-        depth += 1
-        meets = [_least_meeting(level[r:r + height], n) for r in range(0, level.shape[0], height)]
-        meets = [pair for pair in meets if pair is not None]
-        if meets:
-            a, b = divmod(min(meets), m)
-            return a, b, depth
+        levels.append(_word_images(maps, levels[-1]))
+        pair = _least_meeting(levels[-1], n)
+        if pair is not None:
+            a, b = divmod(pair, m)
+            return a, b, levels
 
 
-def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Canonical codes min * n + max of the pairs {a[i], b[i]}, flat."""
-    codes = np.minimum(a, b).astype(np.int64).reshape(-1)
-    codes *= n
-    codes += np.maximum(a, b).reshape(-1)
-    return codes
+def _pair_word(levels, a: int, b: int) -> Word:
+    """The word that _merge_search returns from the one source held in
+    columns a and b of level 0, read off those two columns of the finder's
+    levels 0 to D, where D is that pair's merge length.
 
-
-def _pair_word(maps, x: int, y: int, length: int) -> Word:
-    """The word that _merge_search returns from the one source {x, y},
-    given the pair's merge length D = length.
-
-    Level j holds the images of the pair under the k^j words of j letters,
-    with no dedupe: row c * width + r is letter c's image of row r of the
-    level before (_word_images).  Levels 0 to D - 1 keep every row, as its
-    canonical code, and level D the numbers of its rows on the diagonal.
-    The levels are the winning pair's columns of the finder's, so they
-    stay within its cap.
-
-    The word is read from its end: the step into level j takes the least
-    (letter, parent code) over the rows of level j that hold the pair
-    reached so far, any row on the diagonal at level D.  That is the
-    search's tie-break.  A parent of a pair on a shortest merging path lies
-    on one too, first reached at its own level, so the search's dedupe and
-    its visited pairs keep every such parent; and its level positions are
-    in code order.
+    Column a of level j holds the images of the pair's first state under
+    the k^j words of j letters, with no dedupe, and row c * height + r is
+    letter c's image of row r of the level before.  The word is read from
+    its end: the step into level j + 1 takes the least (letter, parent
+    pair in (min, max) order) over the rows of level j + 1 that hold the
+    pair reached so far, any row on the diagonal at level D.  That is the
+    search's tie-break: its parent codes min * n + max sort the same way.
+    A parent of a pair on a shortest merging path lies on one too, first
+    reached at its own level, so the search's dedupe and its visited pairs
+    keep every such parent; and its level positions are in code order.
+    The rows that hold a pair are found with bool masks of one copied
+    column, not a copy of the level.
     """
-    n = maps[0].size
-    states = np.array([[x, y]], dtype=np.int32)
-    levels = []
-    for _ in range(length):
-        levels.append(_pair_codes(states[:, 0], states[:, 1], n))
-        states = _word_images(maps, states)
-    rows = np.flatnonzero(states[:, 0] == states[:, 1])
+    rows = np.flatnonzero(levels[-1][:, a] == levels[-1][:, b])
     letters_rev = []
-    for parents in reversed(levels):
-        letter, parent = np.divmod(rows, parents.size)
-        parent = parents[parent]
-        best = np.lexsort((parent, letter))[0]
+    for level in reversed(levels[:-1]):
+        letter, parent = np.divmod(rows, level.shape[0])
+        x, y = level[parent, a], level[parent, b]
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        best = np.lexsort((hi, lo, letter))[0]
         letters_rev.append(int(letter[best]))
-        rows = np.flatnonzero(parents == parent[best])
+        # A contiguous copy of column a compares several times faster than
+        # the strided column; a row holding lo or hi there holds the pair
+        # when column b holds the other state.
+        x, lo, hi = level[:, a].copy(), lo[best], hi[best]
+        held = x == lo
+        held |= x == hi
+        rows = np.flatnonzero(held)
+        rows = rows[(x[rows] ^ level[rows, b]) == lo ^ hi]
     return Word(reversed(letters_rev))
+
+
+def _finder_round(maps, cur: np.ndarray):
+    """One greedy round from the finder's levels, as (word, next image),
+    or None when the finder gives up.  The word's row of the last level is
+    its image of cur (see _closest_source), made sorted and unique.  The
+    levels go when the round returns, before the next round's finder
+    builds its own."""
+    found = _closest_source(maps, cur)
+    if found is None:
+        return None
+    a, b, levels = found
+    word = _pair_word(levels, a, b)
+    row = sum(c * len(maps) ** j for j, c in enumerate(word))
+    return word, _sorted_unique(levels[-1][row]).astype(np.int64)
 
 
 def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDistanceResult:
@@ -582,15 +611,17 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     pair BFS, with every pair of the image as a source, picks: it appends
     that search's word and applies it to the whole set.  A round finds the
     winning source and its merge length from the images of the image
-    (_closest_source) and reads the word off that pair's own images
-    (_pair_word): every node on a shortest merging path of the winning
-    source carries its label in the multi-source search, so the word is the
-    same.  When the finder gives up at its cap on the states of its levels,
-    as on a stuck image, the round runs the multi-source search, under the
-    budget of PAIR_VISIT_LIMIT source pairs.  Raises NotSynchronizableError
-    naming a stuck pair when no pair of the surviving image can merge:
-    under permutation letters, checked once before the first round, that
-    needs no search.
+    (_closest_source), reads the word off the winning pair's two columns
+    of those levels (_pair_word), and takes the next image from the word's
+    own row of the last level (_finder_round): every node on a shortest
+    merging path of the winning source carries its label in the
+    multi-source search, so the word is the same.  When the finder gives
+    up at its cap on the states of its levels, as on a stuck image, the
+    round runs the multi-source search, under the budget of
+    PAIR_VISIT_LIMIT source pairs, and applies its word to the image.
+    Raises NotSynchronizableError naming a stuck pair when no pair of the
+    surviving image can merge: under permutation letters, checked once
+    before the first round, that needs no search.
     """
     if A.n != aut.n:
         raise InvalidInputError(
@@ -606,10 +637,9 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
         # not a search, however large the image.
         raise NotSynchronizableError((int(cur[0]), int(cur[1])))
     while cur.size > 1:
-        found = _closest_source(maps, cur)
+        found = _finder_round(maps, cur)
         if found is not None:
-            a, b, length = found
-            word = _pair_word(maps, int(cur[a]), int(cur[b]), length)
+            word, cur = found
         else:
             npairs = cur.size * (cur.size - 1) // 2
             if npairs > PAIR_VISIT_LIMIT:
@@ -622,7 +652,7 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
             if res is None:
                 raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             word = res[1]
-        cur = _image_members(aut, _runs(word), cur)
+            cur = _image_members(aut, _runs(word), cur)
         out.extend(word)
     return Word(out)
 

@@ -31,7 +31,7 @@ from synchrolab import (
     sample_uniform_automaton,
     write_dfa,
 )
-from synchrolab.core import _power
+from synchrolab.core import _power, _preimage_runs
 
 
 # ---------------------------------------------------------------------
@@ -328,6 +328,20 @@ def test_power_is_the_t_fold_composition(rng, kind):
             expected = succ[expected]
             got = _power(succ, t)
             assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kind", ["random", "constant", "permutation"])
+def test_preimage_runs_are_a_stable_argsort(rng, kind):
+    # the packed sort's order is the stable argsort, so each state's run of
+    # preimages is in index order, and the runs' bounds are their counts
+    for n in (1, 2, 5, 33, 64, 1000, 70_000):
+        succ = {"random": rng.integers(0, n, size=n),
+                "constant": np.full(n, n // 2),
+                "permutation": rng.permutation(n)}[kind]
+        order, start, count = _preimage_runs(succ, n)
+        assert np.array_equal(order, np.argsort(succ, kind="stable"))
+        assert np.array_equal(count, np.bincount(succ, minlength=n))
+        assert np.array_equal(start, np.cumsum(count) - count)
 
 
 def test_image_result_is_sorted_unique_read_only(rng):

@@ -32,6 +32,7 @@ from synchrolab import (
     sample_uniform_automaton,
     two_phase_synchronize,
 )
+from synchrolab.core import _image_members, _runs
 from synchrolab.sync import default_pair_search_limit
 
 
@@ -283,8 +284,8 @@ def test_greedy_permutation_on_a_subset_reports_its_first_pair(monkeypatch):
 
 def test_greedy_reads_every_round_off_the_finders_pair(monkeypatch):
     # every round's finder call names a pair, and the round's word is then
-    # one _pair_word call; no round runs the pair search; the word must not
-    # change
+    # one _pair_word call on its levels; no round runs the pair search; the
+    # word must not change
     from synchrolab import sync
 
     events = []
@@ -318,7 +319,7 @@ def test_greedy_with_a_constant_letter_finds_every_round_and_keeps_the_reference
         aut = Automaton(np.stack([np.full(n, n // 2), rng.integers(0, n, n)], axis=1))
         for A in (StateSet.full(n), StateSet(n, rng.choice(n, size=n // 2, replace=False))):
             assert greedy_synchronize(aut, A) == reference_greedy(aut, A.members.tolist())
-    assert [pair[2] for pair in found] == [1] * 6
+    assert [len(pair[2]) - 1 for pair in found] == [1] * 6
     assert not searches
 
 
@@ -405,7 +406,7 @@ def test_greedy_with_the_finder_matches_reference_on_one_letter(rng, monkeypatch
 def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size):
     # the finder's pair is the label of the multi-source search, and its
     # length that search's, also when rows are read a few states at a time;
-    # the pair's own images give the word
+    # the pair's two columns of its levels give the word
     from synchrolab import sync
 
     if slice_size is not None:
@@ -415,22 +416,23 @@ def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size)
         aut = tie_heavy_automaton(rng, n) if trial % 3 == 0 else sample_uniform_automaton(n, 2 + trial % 2, rng)
         maps = [aut.letter(c) for c in range(aut.k)]
         for _ in range(4):
-            cur = np.sort(rng.choice(n, size=int(rng.integers(16, 120)), replace=False))
-            a, b, length = sync._closest_source(maps, cur)
+            cur = np.sort(rng.choice(n, size=int(rng.integers(2, 120)), replace=False))
+            a, b, levels = sync._closest_source(maps, cur)
             i, j = np.triu_indices(cur.size, k=1)
             label, word = sync._merge_search(aut, cur[i], cur[j])
-            assert (a, b, length) == (i[label], j[label], len(word))
-            assert sync._pair_word(maps, int(cur[a]), int(cur[b]), length) == word
+            assert (a, b, len(levels) - 1) == (i[label], j[label], len(word))
+            assert sync._pair_word(levels, a, b) == word
 
 
 def test_least_meeting_is_the_first_pair_that_meets_in_a_row(rng):
-    # against every pair of every row, in np.triu_indices order
+    # against every pair of every row, in np.triu_indices order, on both
+    # sides of the cut between the pairwise test and the key sort
     from synchrolab import sync
 
     found = 0
     for _ in range(300):
         n = int(rng.integers(2, 2000))
-        m = int(rng.integers(2, 18))
+        m = int(rng.integers(2, 40))
         block = rng.integers(0, n, size=(int(rng.integers(1, 40)), m)).astype(np.int32)
         meets = [a * m + b for row in block for a, b in itertools.combinations(range(m), 2) if row[a] == row[b]]
         assert sync._least_meeting(block, n) == min(meets, default=None)
@@ -470,10 +472,8 @@ def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypat
         return pair
 
     def word_images(maps, level):
-        # _pair_word builds levels too, after the finder's call is complete
         out = build(maps, level)
-        if len(calls[-1]) == 3:
-            calls[-1][2].append(out.size)
+        calls[-1][2].append(out.size)
         return out
 
     monkeypatch.setattr(sync, "_closest_source", closest_source)
@@ -488,8 +488,9 @@ def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypat
 
 
 def test_closest_source_memory_at_its_cap(rng):
-    # a stuck image of 20 states: the finder builds levels up to its cap of
-    # 32n states in all and stays within the 128n bytes of 32n int32 states
+    # a stuck image of 20 states: the finder builds and keeps levels up to
+    # its cap of 32n states in all and stays within the 128n bytes of 32n
+    # int32 states
     from synchrolab import sync
 
     n = 200_000
@@ -503,6 +504,17 @@ def test_closest_source_memory_at_its_cap(rng):
     finally:
         tracemalloc.stop()
     assert peak < sync._FINDER_STATES * n * 4
+
+
+def pair_levels(maps, x, y, length):
+    """Levels 0 to length of the pair (x, y) alone, as the finder builds
+    them for an image of two states, without its cap."""
+    from synchrolab import sync
+
+    levels = [np.array([[x, y]], dtype=np.int32)]
+    for _ in range(length):
+        levels.append(sync._word_images(maps, levels[-1]))
+    return levels
 
 
 @pytest.mark.parametrize("slice_size", [None, 5])
@@ -523,31 +535,63 @@ def test_pair_word_is_the_search_word_of_its_pair(rng, monkeypatch, slice_size):
         for x, y in pairs[::len(pairs) // 36 + 1]:
             res = sync._merge_search(aut, np.array([x]), np.array([y]))
             if res is not None:
-                assert sync._pair_word(maps, x, y, len(res[1])) == res[1]
+                assert sync._pair_word(pair_levels(maps, x, y, len(res[1])), 0, 1) == res[1]
                 checked += 1
     assert checked > 600
 
 
 def test_pair_word_memory_on_a_deep_pair(rng):
     # the deepest of some random pairs at n = 200000, whose levels hold
-    # about 2n states or more: they stay within the finder's cap, the 128n
-    # bytes of 32n int32 states
+    # about 2n states or more: the finder's levels and the walk back over
+    # them stay within the finder's cap, the 128n bytes of 32n int32 states
     from synchrolab import sync
 
     n = 200_000
     aut = sample_uniform_automaton(n, 2, rng)
     maps = [aut.letter(c) for c in range(aut.k)]
     pairs = [np.sort(rng.choice(n, size=2, replace=False)) for _ in range(10)]
-    length, x, y = max((sync._closest_source(maps, p)[2], int(p[0]), int(p[1])) for p in pairs)
+    length, x, y = max((len(sync._closest_source(maps, p)[2]) - 1, int(p[0]), int(p[1])) for p in pairs)
     assert 2 ** (length + 1) > n
     tracemalloc.start()
     try:
-        word = sync._pair_word(maps, x, y, length)
+        a, b, levels = sync._closest_source(maps, np.array([x, y]))
+        word = sync._pair_word(levels, a, b)
+        del levels
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (0, word) == sync._merge_search(aut, np.array([x]), np.array([y]))
     assert peak < sync._FINDER_STATES * n * 4
+
+
+def test_finder_round_image_is_the_words_image(rng, monkeypatch):
+    # the image each finder round reads off its last level is the round's
+    # word applied to the image, for one to three letters and tied letters
+    from synchrolab import sync
+
+    rounds, finder_round = [], sync._finder_round
+
+    def spy(maps, cur):
+        found = finder_round(maps, cur)
+        if found is not None:
+            rounds.append((maps, cur, *found))
+        return found
+
+    monkeypatch.setattr(sync, "_finder_round", spy)
+    for trial in range(60):
+        n = int(rng.integers(3, 300))
+        aut = tie_heavy_automaton(rng, n) if trial % 4 == 3 else sample_uniform_automaton(n, 1 + trial % 4, rng)
+        A = StateSet(n, rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        try:
+            greedy_synchronize(aut, A)
+        except NotSynchronizableError:
+            pass
+    assert {len(maps) for maps, *_ in rounds} == {1, 2, 3}
+    assert len(rounds) > 500
+    for maps, cur, word, img in rounds:
+        aut = Automaton(np.stack(maps, axis=1))
+        assert img.dtype == np.int64
+        assert np.array_equal(img, _image_members(aut, _runs(word), cur))
 
 
 # ---------------------------------------------------------------------
