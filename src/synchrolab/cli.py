@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 capacity limit exceeded,
-3 not synchronizable.
+Exit codes: 0 success, 1 invalid input or usage, 2 capacity limit exceeded
+(a guard, or an array numpy refuses to allocate), 3 not synchronizable.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
     except NotSynchronizableError as exc:
         print(f"not synchronizable: {exc} (stuck pair {exc.pair})", file=sys.stderr)
         return EXIT_NOT_SYNCHRONIZABLE
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (InvalidInputError, OSError, UnicodeDecodeError) as exc:

@@ -72,13 +72,11 @@ def _first_of_runs(arr: np.ndarray, low_bits: int = 0) -> np.ndarray:
     return first
 
 
-def _sorted_unique(values: np.ndarray, low_bits: int = 0) -> np.ndarray:
-    """The values sorted, as a new flat array, keeping the first of each run
-    of values that agree above their `low_bits` lowest bits: the distinct
-    values when low_bits is 0.  One sort and an adjacent compare; numpy's
-    own unique is far slower on integer arrays."""
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values sorted, as a new flat array.  One sort and an
+    adjacent compare; numpy's own unique is far slower on integer arrays."""
     arr = np.sort(values, axis=None)
-    return arr[_first_of_runs(arr, low_bits)]
+    return arr[_first_of_runs(arr)]
 
 
 def _preimage_runs(succ: np.ndarray, n: int):
@@ -304,9 +302,9 @@ class Automaton:
 
 
 def _check_word(aut: Automaton, w: Word) -> None:
-    for c in w:
-        if c >= aut.k:
-            raise InvalidInputError(f"letter {c} out of range [0, {aut.k})")
+    top = max(w.letters, default=-1)
+    if top >= aut.k:
+        raise InvalidInputError(f"letter {top} out of range [0, {aut.k})")
 
 
 def apply_word(aut: Automaton, w: Word, x: int) -> int:

@@ -63,7 +63,10 @@ class ProbVector:
     """Probability vector (p_v): non-negative entries summing to 1."""
 
     def __init__(self, p):
-        arr = np.asarray(p, dtype=np.float64)
+        arr = np.asarray(p)
+        if arr.dtype.kind not in "iuf":
+            raise InvalidInputError(f"probabilities must be real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(np.float64)  # a copy, so the caller's array may change
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInputError("probability vector must be 1-D and nonempty")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
@@ -72,7 +75,6 @@ class ProbVector:
             raise InvalidInputError(
                 f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {float(arr.sum())!r}"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         self._p = arr
 
@@ -89,7 +91,7 @@ class ProbVector:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"invalid JSON probability vector: {exc}") from exc
-        if not isinstance(data, list):
+        if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
             raise InvalidInputError("probability vector JSON must be an array of reals")
         return cls(data)
 

@@ -10,17 +10,17 @@ The forward pair search is a plain multi-source BFS with one level step
 label, letter, parent).  Greedy finds each round's closest pair and its
 merge length from the images x(I) of the image under the words x of each
 length: the first length at which some x(I) holds one state twice
-(_closest_source).  The finder keeps those levels, and one pass serves the
-whole round: the search's word is read off the winning pair's two columns,
-walked back from the diagonal (_pair_word), and the next image is the
-word's own row of the last level.  The search and the power-set
-oracle store each node's parent as letter * width + position and rebuild
-words with _reconstruct_word.  The all-pairs radius is a reverse level BFS
-from the diagonal, direction-optimising as in Beamer, Asanovic and
-Patterson (SC 2012): it pushes a sparse level by spawning the pairs of
-preimages of each of its pairs, and pulls a dense one, each pair looking
-up its images in n x n bool matrices of the level and of the pairs seen.
-The push step's counts, known before it spawns a pair, decide which.
+(_closest_source).  The search's word is read off the winning pair's two
+columns of those levels, walked back from the diagonal (_pair_word), and
+every round applies its word to the image by one gather per letter.  The
+search and the power-set oracle store each node's parent as letter *
+width + position and rebuild words with _reconstruct_word.  The all-pairs
+radius is a reverse level BFS from the diagonal, direction-optimising as in
+Beamer, Asanovic and Patterson (SC 2012): it pushes a sparse level by
+spawning the pairs of preimages of each of its pairs, and pulls a dense
+one, each pair looking up its images in n x n bool matrices of the level
+and of the pairs seen.  The push step's counts, known before it spawns a
+pair, decide which.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, Word, _as_index, _first_of_runs, _image_members, _offsets, _preimage_runs, _runs
-from .core import _sorted_unique, image, is_reset_word
+from .core import Automaton, StateSet, Word, _as_index, _first_of_runs, _offsets, _preimage_runs, _sorted_unique
+from .core import image, is_reset_word
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
 # Product space guards: the all-pairs radius holds at most three n x n
@@ -314,7 +314,7 @@ def _word_images(maps, level: np.ndarray) -> np.ndarray:
     return out.reshape(-1, m)
 
 
-def _least_meeting(level: np.ndarray, n: int):
+def _least_meeting(level: np.ndarray):
     """The least pair of columns a < b, as a * m + b, that hold one state
     in some row of `level`, an int array of shape (rows, m); None when the
     states of every row are distinct.  Reads the level in blocks of rows.
@@ -322,10 +322,10 @@ def _least_meeting(level: np.ndarray, n: int):
     Under _PAIRWISE_STATES columns every pair of columns is compared, about
     _LEVEL_SLICE compares a block, and the pairs come in np.triu_indices
     order, which is a * m + b order.  Otherwise about _LEVEL_SLICE keys
-    (row * n + state) << bits | column are sorted a block: the columns that
-    hold one state of a row come in a run, ascending, and keys equal above
-    their low bits are adjacent.  The first two columns of a run are its
-    least pair, so the least adjacent pair is the least of the block."""
+    state << bits | column are sorted a block, each row on its own: the
+    columns that hold one state of a row come in a run, ascending, of row
+    neighbours equal above their low bits.  The first two columns of a run
+    are its least pair, so the least such neighbours are the block's."""
     height, m = level.shape
     if m < _PAIRWISE_STATES:
         i, j = _COLUMN_PAIRS[m]
@@ -341,15 +341,14 @@ def _least_meeting(level: np.ndarray, n: int):
     least = m * m
     for r in range(0, height, step):
         keys = level[r:r + step].astype(np.int64)
-        keys += (np.arange(keys.shape[0], dtype=np.int64) * n)[:, None]
         keys <<= bits
         keys |= np.arange(m)
-        keys = np.sort(keys, axis=None)
-        at = np.flatnonzero(~_first_of_runs(keys, bits)[1:])
-        if at.size:
-            pairs = keys[at] & low
+        keys.sort(axis=1)
+        row, at = np.nonzero((keys[:, 1:] ^ keys[:, :-1]) <= low)
+        if row.size:
+            pairs = keys[row, at] & low
             pairs *= m
-            pairs += keys[at + 1] & low
+            pairs += keys[row, at + 1] & low
             least = min(least, int(pairs.min()))
     return least if least < m * m else None
 
@@ -364,18 +363,17 @@ def _closest_source(maps, cur: np.ndarray):
     Level L is x(cur) for every word x of L letters, one row per word,
     column i holding the image of cur[i]; it is built by one gather per
     letter from level L - 1 (_word_images), so row c * k^(L-1) + r is
-    letter c applied to row r, and the word x_1 ... x_L sits at row
-    sum of x_j * k^(j-1).  A word x merges cur[a] and cur[b] exactly when
-    row x of level |x| holds one state in columns a and b.  So the first
-    level L where some row holds a state twice is the fewest letters D of
-    any pair, the pairs that meet there are exactly the pairs that need D,
-    and the multi-source search, which stops at its first level with a
-    child on the diagonal, stops at D too and picks the least of their
-    source labels.  _least_meeting reads each level.
+    letter c applied to row r.  A word x merges cur[a] and cur[b] exactly
+    when row x of level |x| holds one state in columns a and b.  So the
+    first level L where some row holds a state twice is the fewest letters
+    D of any pair, the pairs that meet there are exactly the pairs that
+    need D, and the multi-source search, which stops at its first level
+    with a child on the diagonal, stops at D too and picks the least of
+    their source labels.  _least_meeting reads each level.
 
-    Every level is kept, for the round's word and image, so the cap counts
-    the states of all levels, not of one; that also ends the search when
-    the levels do not grow, as with one letter.
+    Every level is kept, for the walk back to the word (_pair_word), so
+    the cap counts the states of all levels, not of one; that also ends
+    the search when the levels do not grow, as with one letter.
     """
     n, m = maps[0].size, cur.size
     levels = [cur.astype(np.int32).reshape(1, m)]
@@ -385,7 +383,7 @@ def _closest_source(maps, cur: np.ndarray):
         if built > _FINDER_STATES * n:
             return None
         levels.append(_word_images(maps, levels[-1]))
-        pair = _least_meeting(levels[-1], n)
+        pair = _least_meeting(levels[-1])
         if pair is not None:
             a, b = divmod(pair, m)
             return a, b, levels
@@ -428,19 +426,12 @@ def _pair_word(levels, a: int, b: int) -> Word:
     return Word(reversed(letters_rev))
 
 
-def _finder_round(maps, cur: np.ndarray):
-    """One greedy round from the finder's levels, as (word, next image),
-    or None when the finder gives up.  The word's row of the last level is
-    its image of cur (see _closest_source), made sorted and unique.  The
-    levels go when the round returns, before the next round's finder
-    builds its own."""
+def _finder_word(maps, cur: np.ndarray):
+    """The word of greedy's round from cur, read off the finder's levels,
+    or None when the finder gives up.  The levels go when it returns,
+    before the next round's finder builds its own."""
     found = _closest_source(maps, cur)
-    if found is None:
-        return None
-    a, b, levels = found
-    word = _pair_word(levels, a, b)
-    row = sum(c * len(maps) ** j for j, c in enumerate(word))
-    return word, _sorted_unique(levels[-1][row]).astype(np.int64)
+    return None if found is None else _pair_word(found[2], *found[:2])
 
 
 def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDistanceResult:
@@ -604,21 +595,27 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
     return radius
 
 
+def _is_permutation(succ: np.ndarray) -> bool:
+    """Whether succ hits each of its n states, by an n-entry bool mask."""
+    hit = np.zeros(succ.size, dtype=bool)
+    hit[succ] = True
+    return bool(hit.all())
+
+
 def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     """Collapse A to a single state by repeatedly merging a closest pair.
 
     Each round merges the pair of the current image that the multi-source
     pair BFS, with every pair of the image as a source, picks: it appends
-    that search's word and applies it to the whole set.  A round finds the
-    winning source and its merge length from the images of the image
-    (_closest_source), reads the word off the winning pair's two columns
-    of those levels (_pair_word), and takes the next image from the word's
-    own row of the last level (_finder_round): every node on a shortest
-    merging path of the winning source carries its label in the
-    multi-source search, so the word is the same.  When the finder gives
-    up at its cap on the states of its levels, as on a stuck image, the
-    round runs the multi-source search, under the budget of
-    PAIR_VISIT_LIMIT source pairs, and applies its word to the image.
+    that search's word and applies it to the whole set, one gather per
+    letter and one dedupe at the end.  A round finds the winning source
+    and its merge length from the images of the image (_closest_source)
+    and reads the word off the winning pair's two columns of those levels
+    (_pair_word): every node on a shortest merging path of the winning
+    source carries its label in the multi-source search, so the word is
+    the same.  When the finder gives up at its cap on the states of its
+    levels, as on a stuck image, the round runs the multi-source search,
+    under the budget of PAIR_VISIT_LIMIT source pairs, for its word.
     Raises NotSynchronizableError naming a stuck pair when no pair of the
     surviving image can merge: under permutation letters, checked once
     before the first round, that needs no search.
@@ -632,15 +629,13 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     cur = A.members
     out: list[int] = []
     maps = [aut.letter(c) for c in range(aut.k)]
-    if cur.size > 1 and all(np.bincount(t, minlength=aut.n).max() == 1 for t in maps):
+    if cur.size > 1 and all(_is_permutation(t) for t in maps):
         # Under permutation letters no pair ever merges: that is the answer,
         # not a search, however large the image.
         raise NotSynchronizableError((int(cur[0]), int(cur[1])))
     while cur.size > 1:
-        found = _finder_round(maps, cur)
-        if found is not None:
-            word, cur = found
-        else:
+        word = _finder_word(maps, cur)
+        if word is None:
             npairs = cur.size * (cur.size - 1) // 2
             if npairs > PAIR_VISIT_LIMIT:
                 raise CapacityError(
@@ -652,7 +647,9 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
             if res is None:
                 raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             word = res[1]
-            cur = _image_members(aut, _runs(word), cur)
+        for c in word:
+            cur = maps[c][cur]
+        cur = _sorted_unique(cur)
         out.extend(word)
     return Word(out)
 

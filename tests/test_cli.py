@@ -13,6 +13,7 @@ from synchrolab import (
     sample_uniform_automaton,
     write_dfa,
 )
+from synchrolab import cli
 from synchrolab.cli import main
 
 
@@ -181,8 +182,6 @@ def test_malformed_experiment_config_exits_1(tmp_path, capsys, config):
 def test_more_letters_than_a_to_z_exit_1_up_front(tmp_path, capsys, monkeypatch):
     # words are printed as a..z: gen writes no 27-letter file, and exact
     # refuses one before its power-set search
-    from synchrolab import cli
-
     path = tmp_path / "k27.dfa"
     code, out, err = run_cli(capsys, "gen", "--n", "5", "--k", "27", "--out", str(path))
     assert code == 1 and out == "" and not path.exists()
@@ -248,3 +247,58 @@ def test_sync_large_permutation_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sync", "--in", str(path))
     assert code == 3
     assert "stuck pair (0, 1)" in err
+
+
+def test_impossible_allocation_exits_2(tmp_path, capsys):
+    # numpy refuses an array of 10^15 states before making it: a capacity
+    # error, not a traceback
+    path = tmp_path / "huge.dfa"
+    for argv in (("gen", "--n", str(10**15), "--out", str(path)), ("sync", "--n", str(10**15))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("capacity error: ") and err.count("\n") == 1, argv
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("p_json", ['["0.5","0.5"]', "[true,false]", "[true, 0]", '["a"]', "[{}]", "[null]",
+                                    "[[0.5],[0.5,0.0]]", "[]", "[1e400]", "[0.5,0.6]", "{}", "nope"])
+def test_cyclic_rejects_malformed_probability_json(capsys, p_json):
+    code, out, err = run_cli(capsys, "cyclic", "--p-json", p_json)
+    assert code == 1 and out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_every_subcommand_rejects_malformed_input_in_one_line(tmp_path, capsys):
+    # past argparse, every subcommand answers malformed input with exit 1
+    # and one "invalid input:" line on stderr, and writes nothing
+    files = {
+        "bad.dfa": "dfa v1 2 1\n0\n5\n",
+        "one.dfa": "dfa v1 1 1\n0\n",
+        "binary.dfa": "dfa v1 3 2\n0 1\n1 2\n2 0\n",
+        "cfg.json": '{"experiment": "nope"}',
+        "broken.json": "[1",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out_path = str(tmp_path / "out.dfa")
+    cases = {
+        "gen": [("--n", "0"), ("--n", "-1"), ("--n", "5", "--k", "0"), ("--n", "5", "--seed", "-1")],
+        "sync": [("--n", "1"), ("--n", "-2"), ("--n", "5", "--seed", "-3"), ("--in", "bad.dfa"), ("--in", "one.dfa")],
+        "pairs": [("--in", "bad.dfa"), ("--in", "one.dfa"), ("--in", "missing.dfa")],
+        "exact": [("--in", "bad.dfa"), ("--in", "cfg.json")],
+        "cyclic": [("--in", "binary.dfa"), ("--in", "bad.dfa"), ("--p-json", '["0.5","0.5"]'), ("--p-json", "[true,false]")],
+        "gw": [("--K", "-1")],
+        "experiment": [("--config", "cfg.json"), ("--config", "broken.json"), ("--config", "missing.json")],
+        "cerny": [("--n", "0"), ("--n", "1")],
+    }
+    assert set(cases) == set(cli._COMMANDS)
+    for command, argvs in cases.items():
+        for argv in argvs:
+            argv = [str(tmp_path / a) if a.endswith((".dfa", ".json")) else a for a in argv]
+            if command in ("gen", "cerny"):
+                argv += ["--out", out_path]
+            code, out, err = run_cli(capsys, command, *argv)
+            assert code == 1 and out == "", (command, argv)
+            assert err.startswith("invalid input: ") and err.count("\n") == 1, (command, argv, err)
+            assert "Traceback" not in err
+    assert not (tmp_path / "out.dfa").exists()

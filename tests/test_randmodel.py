@@ -140,6 +140,27 @@ def test_prob_vector_validation():
     assert len(ProbVector.from_json("[0.5, 0.5]")) == 2
     with pytest.raises(InvalidInputError):
         ProbVector.from_json("{}")
+
+
+@pytest.mark.parametrize("p", [["0.5", "0.5"], [True, False], np.array([True]), ["a"], [{}], [None],
+                               [0.5, "0.5"], [10**30]])
+def test_prob_vector_takes_only_real_numbers(p):
+    # strings, booleans and objects are not probabilities, however numpy
+    # would convert them
+    with pytest.raises(InvalidInputError):
+        ProbVector(p)
+
+
+def test_prob_vector_takes_integers_and_keeps_a_copy():
+    assert ProbVector([0, 1]).p.tolist() == [0.0, 1.0]
+    assert ProbVector(np.array([1], dtype=np.uint8)).p.dtype == np.float64
+    p = np.array([0.25, 0.75])
+    vector = ProbVector(p)
+    p[0] = 0.5
+    assert vector.p.tolist() == [0.25, 0.75]
+    for text in ("[true, 0]", "[[0.5], [0.5, 0.0]]", "[0.5, null, 0.5]"):
+        with pytest.raises(InvalidInputError, match="array of reals"):
+            ProbVector.from_json(text)
     with pytest.raises(InvalidInputError):
         ProbVector.from_json("not json")
     with pytest.raises(InvalidInputError, match="must be an integer"):

@@ -435,7 +435,7 @@ def test_least_meeting_is_the_first_pair_that_meets_in_a_row(rng):
         m = int(rng.integers(2, 40))
         block = rng.integers(0, n, size=(int(rng.integers(1, 40)), m)).astype(np.int32)
         meets = [a * m + b for row in block for a, b in itertools.combinations(range(m), 2) if row[a] == row[b]]
-        assert sync._least_meeting(block, n) == min(meets, default=None)
+        assert sync._least_meeting(block) == min(meets, default=None)
         found += bool(meets)
     assert 50 < found < 250
 
@@ -564,34 +564,105 @@ def test_pair_word_memory_on_a_deep_pair(rng):
     assert peak < sync._FINDER_STATES * n * 4
 
 
-def test_finder_round_image_is_the_words_image(rng, monkeypatch):
-    # the image each finder round reads off its last level is the round's
-    # word applied to the image, for one to three letters and tied letters
+def test_every_round_applies_its_word_to_the_image(rng, monkeypatch):
+    # each image greedy hands the finder is the word of the round before
+    # applied to that round's image, for finder rounds and fallback rounds
+    # alike, over one to three letters, tied letters, two components and
+    # Cerny automata, whose deep pairs send rounds to the fallback
     from synchrolab import sync
 
-    rounds, finder_round = [], sync._finder_round
+    events = []
 
-    def spy(maps, cur):
-        found = finder_round(maps, cur)
-        if found is not None:
-            rounds.append((maps, cur, *found))
-        return found
+    def record(name, keep):
+        fn = getattr(sync, name)
 
-    monkeypatch.setattr(sync, "_finder_round", spy)
+        def spy(*args):
+            result = fn(*args)
+            events.append((name, keep(args, result)))
+            return result
+
+        monkeypatch.setattr(sync, name, spy)
+
+    record("_closest_source", lambda args, result: args[1].copy())
+    record("_pair_word", lambda args, result: result)
+    record("_merge_search", lambda args, result: None if result is None else result[1])
+    auts = []
     for trial in range(60):
         n = int(rng.integers(3, 300))
-        aut = tie_heavy_automaton(rng, n) if trial % 4 == 3 else sample_uniform_automaton(n, 1 + trial % 4, rng)
-        A = StateSet(n, rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        auts.append(tie_heavy_automaton(rng, n) if trial % 4 == 3 else sample_uniform_automaton(n, 1 + trial % 4, rng))
+    auts += [two_component_automaton(rng, int(rng.integers(2, 13)), int(rng.integers(2, 13)), 2) for _ in range(20)]
+    auts += [cerny_automaton(n) for n in range(4, 17)]
+    rounds = []
+    for aut in auts:
+        n = aut.n
+        events.clear()
         try:
-            greedy_synchronize(aut, A)
+            greedy_synchronize(aut, StateSet(n, rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)))
+            synchronized = True
         except NotSynchronizableError:
-            pass
-    assert {len(maps) for maps, *_ in rounds} == {1, 2, 3}
-    assert len(rounds) > 500
-    for maps, cur, word, img in rounds:
-        aut = Automaton(np.stack(maps, axis=1))
-        assert img.dtype == np.int64
-        assert np.array_equal(img, _image_members(aut, _runs(word), cur))
+            synchronized = False
+        images = [cur for name, cur in events if name == "_closest_source"]
+        words = [(name, word) for name, word in events if name != "_closest_source"]
+        assert len(words) == len(images)
+        for cur, (name, word), after in zip(images, words, [*images[1:], None]):
+            if after is None:
+                assert synchronized == (_image_members(aut, _runs(word or ()), cur).size == 1)
+                break
+            assert after.dtype == np.int64
+            assert np.array_equal(after, _image_members(aut, _runs(word), cur))
+            rounds.append((aut.k, name))
+    assert {k for k, name in rounds} == {1, 2, 3}
+    names = [name for k, name in rounds]
+    assert names.count("_pair_word") > 500 and names.count("_merge_search") > 20
+
+
+def three_chains(n, d):
+    """Letter a walks three chains from states 0, d + 1 and 2d + 2; b fixes
+    every state.  The first two chains meet after d + 1 letters, and the
+    third, twice as long, meets their end d + 1 letters later: greedy from
+    the three starts runs two rounds of d + 1 letters.  The other states
+    are fixed points."""
+    a = np.arange(n)
+    first, second = np.arange(d + 1), np.arange(d + 1, 2 * d + 2)
+    third, tail = np.arange(2 * d + 2, 4 * d + 4), np.arange(4 * d + 4, 5 * d + 5)
+    for chain, end in ((first, tail[0]), (second, tail[0]), (third, 5 * d + 5), (tail, 5 * d + 5)):
+        a[chain[:-1]] = chain[1:]
+        a[chain[-1]] = end
+    return Automaton(np.stack([a, np.arange(n)], axis=1)), [0, d + 1, 2 * d + 2]
+
+
+def test_greedy_frees_each_rounds_levels_before_the_next_finder(monkeypatch):
+    # two finder rounds that each build more than half of the cap of
+    # 32n states: had greedy kept the first round's levels while the second
+    # builds its own, the two together would pass the 128n bytes of 32n
+    # int32 states; the first round's levels, about 3/4 of the cap, leave
+    # the rest for the walk-back
+    from synchrolab import sync
+
+    n = 16_000
+    aut, starts = three_chains(n, 15)
+    finder, build, built = sync._closest_source, sync._word_images, []
+
+    def closest_source(maps, cur):
+        built.append(cur.size)
+        return finder(maps, cur)
+
+    def word_images(maps, level):
+        out = build(maps, level)
+        built[-1] += out.size
+        return out
+
+    monkeypatch.setattr(sync, "_closest_source", closest_source)
+    monkeypatch.setattr(sync, "_word_images", word_images)
+    tracemalloc.start()
+    try:
+        word = greedy_synchronize(aut, StateSet(n, starts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == Word([0] * 32)
+    assert len(built) == 2 and min(built) > sync._FINDER_STATES * n / 2
+    assert peak < sync._FINDER_STATES * n * 4
 
 
 # ---------------------------------------------------------------------
