@@ -21,6 +21,10 @@ import numpy as np
 from .errors import InvalidInputError
 
 _MAX_TEXT_ALPHABET = 26
+# Letter byte -> its character, for bytes.translate.
+_LETTER_CHARS = bytes.maketrans(
+    bytes(range(_MAX_TEXT_ALPHABET)), bytes(range(ord("a"), ord("a") + _MAX_TEXT_ALPHABET))
+)
 
 
 def letter_to_char(letter: int) -> str:
@@ -112,7 +116,12 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 
 
 class Word:
-    """Immutable letter sequence; may be empty."""
+    """Immutable letter sequence; may be empty.
+
+    Word(letters) checks every letter; the words the program builds itself
+    (phase words, search words, concatenations) come from letters already
+    checked and skip that (_trusted).  .text maps letters to characters by
+    one bytes.translate."""
 
     __slots__ = ("_letters",)
 
@@ -124,6 +133,14 @@ class Word:
         self._letters = letters
 
     @classmethod
+    def _trusted(cls, letters: tuple[int, ...]) -> "Word":
+        # Trusted constructor: letters must be a tuple of non-negative
+        # Python ints; it is kept, not copied.
+        obj = cls.__new__(cls)
+        obj._letters = letters
+        return obj
+
+    @classmethod
     def from_text(cls, text: str) -> "Word":
         return cls(char_to_letter(ch) for ch in text)
 
@@ -133,7 +150,11 @@ class Word:
 
     @property
     def text(self) -> str:
-        return "".join(letter_to_char(c) for c in self._letters)
+        if max(self._letters, default=0) >= _MAX_TEXT_ALPHABET:
+            # Some letter has no textual form: name the first.
+            for c in self._letters:
+                letter_to_char(c)
+        return bytes(self._letters).translate(_LETTER_CHARS).decode("ascii")
 
     def __len__(self) -> int:
         return len(self._letters)
@@ -147,7 +168,7 @@ class Word:
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self._letters + other._letters)
+        return Word._trusted(self._letters + other._letters)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self._letters == other._letters

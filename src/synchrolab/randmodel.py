@@ -63,7 +63,10 @@ class ProbVector:
     """Probability vector (p_v): non-negative entries summing to 1."""
 
     def __init__(self, p):
-        arr = np.asarray(p)
+        try:
+            arr = np.asarray(p)
+        except ValueError as exc:  # ragged nesting, which numpy cannot shape
+            raise InvalidInputError(f"probability vector must be a flat sequence of reals: {exc}") from exc
         if arr.dtype.kind not in "iuf":
             raise InvalidInputError(f"probabilities must be real numbers, got dtype {arr.dtype}")
         arr = arr.astype(np.float64)  # a copy, so the caller's array may change

@@ -10,17 +10,21 @@ The forward pair search is a plain multi-source BFS with one level step
 label, letter, parent).  Greedy finds each round's closest pair and its
 merge length from the images x(I) of the image under the words x of each
 length: the first length at which some x(I) holds one state twice
-(_closest_source).  The search's word is read off the winning pair's two
-columns of those levels, walked back from the diagonal (_pair_word), and
-every round applies its word to the image by one gather per letter.  The
-search and the power-set oracle store each node's parent as letter *
-width + position and rebuild words with _reconstruct_word.  The all-pairs
-radius is a reverse level BFS from the diagonal, direction-optimising as in
-Beamer, Asanovic and Patterson (SC 2012): it pushes a sparse level by
-spawning the pairs of preimages of each of its pairs, and pulls a dense
-one, each pair looking up its images in n x n bool matrices of the level
-and of the pairs seen.  The push step's counts, known before it spawns a
-pair, decide which.
+(_closest_source), a sort of each level's plain states within rows
+telling whether it holds a meeting at all (_least_meeting).  The search's
+word is read off the winning pair's two columns of those levels, walked
+back from the diagonal over the few rows that hold the pair reached, as
+Python ints (_pair_word), and every round applies its word to the image
+by one gather per letter.  Greedy's rounds come one at a time, each with
+its image size, its word and whether the finder or the fallback search
+found it (_greedy_rounds).  The search and the power-set oracle store each
+node's parent as letter * width + position and rebuild words with
+_reconstruct_word.  The all-pairs radius is a reverse level BFS from the
+diagonal, direction-optimising as in Beamer, Asanovic and Patterson (SC
+2012): it pushes a sparse level by spawning the pairs of preimages of each
+of its pairs, and pulls a dense one, each pair looking up its images in
+n x n bool matrices of the level and of the pairs seen.  The push step's
+counts, known before it spawns a pair, decide which.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def phase1_word_unary(n: int) -> Word:
     if n < 2:
         raise InvalidInputError("need at least two states")
     reps = math.ceil(2.0 * math.sqrt(n * math.log(n)))
-    return Word([0] * reps)
+    return Word._trusted((0,) * reps)
 
 
 def phase1_word_interleaved(n: int) -> Word:
@@ -93,11 +97,7 @@ def phase1_word_interleaved(n: int) -> Word:
     if block * block < n:
         block += 1
     rounds = math.ceil(math.sqrt(math.log2(n)))
-    letters = [0] * block
-    for _ in range(rounds):
-        letters.append(1)
-        letters.extend([0] * block)
-    return Word(letters)
+    return Word._trusted((0,) * block + ((1,) + (0,) * block) * rounds)
 
 
 def default_pair_search_limit(n: int) -> int:
@@ -153,7 +153,7 @@ def _reconstruct_word(steps, pos: int, final_letter: int) -> Word:
     for index, width in reversed(steps):
         letter, pos = divmod(int(index[pos]), width)
         letters_rev.append(letter)
-    return Word(reversed(letters_rev))
+    return Word._trusted(tuple(reversed(letters_rev)))
 
 
 def _canonical_children(letter_maps, codes: np.ndarray, n: int):
@@ -310,7 +310,7 @@ def _word_images(maps, level: np.ndarray) -> np.ndarray:
     step = max(1, _LEVEL_SLICE // m)
     for c, t in enumerate(maps):
         for r in range(0, height, step):
-            np.take(t, level[r:r + step], out=out[c, r:r + step], mode="clip")
+            t.take(level[r:r + step], out=out[c, r:r + step], mode="clip")
     return out.reshape(-1, m)
 
 
@@ -321,11 +321,14 @@ def _least_meeting(level: np.ndarray):
 
     Under _PAIRWISE_STATES columns every pair of columns is compared, about
     _LEVEL_SLICE compares a block, and the pairs come in np.triu_indices
-    order, which is a * m + b order.  Otherwise about _LEVEL_SLICE keys
-    state << bits | column are sorted a block, each row on its own: the
-    columns that hold one state of a row come in a run, ascending, of row
-    neighbours equal above their low bits.  The first two columns of a run
-    are its least pair, so the least such neighbours are the block's."""
+    order, which is a * m + b order.  Otherwise a block of about
+    _LEVEL_SLICE states is sorted within its rows, plain states, and a row
+    whose sorted neighbours are all distinct holds no pair; a block with
+    no such neighbours costs that sort and one compare.  Only the rows that
+    meet get the keys state << bits | column, sorted each row on its own:
+    the columns that hold one state of a row come in a run, ascending, of
+    row neighbours equal above their low bits.  The first two columns of a
+    run are its least pair, so the least such neighbours are the block's."""
     height, m = level.shape
     if m < _PAIRWISE_STATES:
         i, j = _COLUMN_PAIRS[m]
@@ -340,16 +343,20 @@ def _least_meeting(level: np.ndarray):
     low = (1 << bits) - 1
     least = m * m
     for r in range(0, height, step):
-        keys = level[r:r + step].astype(np.int64)
+        block = level[r:r + step]
+        states = np.sort(block, axis=1)
+        meets = states[:, 1:] == states[:, :-1]
+        if not np.count_nonzero(meets):
+            continue
+        keys = block[meets.any(axis=1)].astype(np.int64)
         keys <<= bits
         keys |= np.arange(m)
         keys.sort(axis=1)
-        row, at = np.nonzero((keys[:, 1:] ^ keys[:, :-1]) <= low)
-        if row.size:
-            pairs = keys[row, at] & low
-            pairs *= m
-            pairs += keys[row, at + 1] & low
-            least = min(least, int(pairs.min()))
+        row, at = ((keys[:, 1:] ^ keys[:, :-1]) <= low).nonzero()
+        pairs = keys[row, at] & low
+        pairs *= m
+        pairs += keys[row, at + 1] & low
+        least = min(least, int(pairs.min()))
     return least if least < m * m else None
 
 
@@ -404,26 +411,28 @@ def _pair_word(levels, a: int, b: int) -> Word:
     A parent of a pair on a shortest merging path lies on one too, first
     reached at its own level, so the search's dedupe and its visited pairs
     keep every such parent; and its level positions are in code order.
-    The rows that hold a pair are found with bool masks of one copied
-    column, not a copy of the level.
+    Those rows are few, mostly one, so the walk reads them as Python
+    scalars; the rows that hold the step's pair come from one scan of
+    column a, for its two states, every such row being needed for the
+    tie-break of the step before.
     """
-    rows = np.flatnonzero(levels[-1][:, a] == levels[-1][:, b])
+    last = levels[-1]
+    rows = (last[:, a] == last[:, b]).nonzero()[0].tolist()
     letters_rev = []
     for level in reversed(levels[:-1]):
-        letter, parent = np.divmod(rows, level.shape[0])
-        x, y = level[parent, a], level[parent, b]
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        best = np.lexsort((hi, lo, letter))[0]
-        letters_rev.append(int(letter[best]))
-        # A contiguous copy of column a compares several times faster than
-        # the strided column; a row holding lo or hi there holds the pair
-        # when column b holds the other state.
-        x, lo, hi = level[:, a].copy(), lo[best], hi[best]
-        held = x == lo
-        held |= x == hi
-        rows = np.flatnonzero(held)
-        rows = rows[(x[rows] ^ level[rows, b]) == lo ^ hi]
-    return Word(reversed(letters_rev))
+        height = level.shape[0]
+        steps = []
+        for row in rows:
+            letter, parent = divmod(row, height)
+            x, y = level.item(parent, a), level.item(parent, b)
+            steps.append((letter, min(x, y), max(x, y)))
+        letter, lo, hi = min(steps)
+        letters_rev.append(letter)
+        column = level[:, a]
+        held = column == lo
+        held |= column == hi
+        rows = [r for r in held.nonzero()[0].tolist() if level.item(r, a) + level.item(r, b) == lo + hi]
+    return Word._trusted(tuple(reversed(letters_rev)))
 
 
 def _finder_word(maps, cur: np.ndarray):
@@ -602,11 +611,13 @@ def _is_permutation(succ: np.ndarray) -> bool:
     return bool(hit.all())
 
 
-def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
-    """Collapse A to a single state by repeatedly merging a closest pair.
+def _greedy_rounds(aut: Automaton, cur: np.ndarray):
+    """Greedy's rounds from the image cur, its states sorted and distinct,
+    until one state is left: per round (image size, word, whether the
+    finder found the word rather than the fallback search).
 
     Each round merges the pair of the current image that the multi-source
-    pair BFS, with every pair of the image as a source, picks: it appends
+    pair BFS, with every pair of the image as a source, picks: it names
     that search's word and applies it to the whole set, one gather per
     letter and one dedupe at the end.  A round finds the winning source
     and its merge length from the images of the image (_closest_source)
@@ -620,14 +631,6 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     surviving image can merge: under permutation letters, checked once
     before the first round, that needs no search.
     """
-    if A.n != aut.n:
-        raise InvalidInputError(
-            f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
-        )
-    if len(A) == 0:
-        raise InvalidInputError("cannot synchronize an empty state set")
-    cur = A.members
-    out: list[int] = []
     maps = [aut.letter(c) for c in range(aut.k)]
     if cur.size > 1 and all(_is_permutation(t) for t in maps):
         # Under permutation letters no pair ever merges: that is the answer,
@@ -635,7 +638,8 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
         raise NotSynchronizableError((int(cur[0]), int(cur[1])))
     while cur.size > 1:
         word = _finder_word(maps, cur)
-        if word is None:
+        by_finder = word is not None
+        if not by_finder:
             npairs = cur.size * (cur.size - 1) // 2
             if npairs > PAIR_VISIT_LIMIT:
                 raise CapacityError(
@@ -647,11 +651,25 @@ def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
             if res is None:
                 raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             word = res[1]
+        yield cur.size, word, by_finder
         for c in word:
             cur = maps[c][cur]
         cur = _sorted_unique(cur)
+
+
+def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
+    """Collapse A to a single state by repeatedly merging a closest pair:
+    the words of greedy's rounds (_greedy_rounds), joined."""
+    if A.n != aut.n:
+        raise InvalidInputError(
+            f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
+        )
+    if len(A) == 0:
+        raise InvalidInputError("cannot synchronize an empty state set")
+    out: list[int] = []
+    for _size, word, _by_finder in _greedy_rounds(aut, A.members):
         out.extend(word)
-    return Word(out)
+    return Word._trusted(tuple(out))
 
 
 def two_phase_synchronize(aut: Automaton) -> SyncReport:

@@ -1,6 +1,7 @@
 """Small fixture automata and plain-Python reference searches shared across
 test modules."""
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -92,6 +93,35 @@ def reference_merge_search(aut: Automaton, sources, max_len=None):
         visited.update(level)
         depth += 1
     return None
+
+
+def reference_greedy_rounds(aut: Automaton, states):
+    """Plain-Python twin of greedy's rounds (synchrolab.sync._greedy_rounds),
+    without the finder: from the sorted states, each round's (image size,
+    letters), the letters being reference_merge_search's word with every
+    pair of the image as a source, applied to the image state by state.  A
+    round whose image no word merges yields (size, None) and ends the
+    rounds."""
+    maps = [aut.letter(c).tolist() for c in range(aut.k)]
+    cur = sorted(states)
+    while len(cur) > 1:
+        res = reference_merge_search(aut, list(itertools.combinations(cur, 2)))
+        yield len(cur), None if res is None else res[1]
+        if res is None:
+            return
+        for c in res[1]:
+            cur = sorted({maps[c][s] for s in cur})
+
+
+def reference_greedy(aut: Automaton, states) -> Word | None:
+    """Plain-Python twin of synchrolab.greedy_synchronize: the words of
+    reference_greedy_rounds joined, or None when some image cannot merge."""
+    out = []
+    for _size, letters in reference_greedy_rounds(aut, states):
+        if letters is None:
+            return None
+        out.extend(letters)
+    return Word(out)
 
 
 def _reference_subset_image_tables(aut: Automaton, chunks: int) -> list[list[list[int]]]:

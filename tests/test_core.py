@@ -59,6 +59,25 @@ def test_word_rejects_bad_input():
         Word([26]).text  # no textual form past 'z'
 
 
+def test_word_concat_is_the_word_of_both_letter_runs(rng):
+    for _ in range(50):
+        u = Word(rng.integers(0, 30, size=int(rng.integers(0, 8))))
+        v = Word(rng.integers(0, 30, size=int(rng.integers(0, 8))))
+        joined = Word(u.letters + v.letters)
+        assert u + v == joined and hash(u + v) == hash(joined)
+        assert (u + v).letters == joined.letters and all(type(c) is int for c in (u + v).letters)
+
+
+def test_word_text_names_the_first_letter_past_z():
+    assert Word(range(26)).text == "abcdefghijklmnopqrstuvwxyz"
+    for letters, bad in (([26], 26), ([0, 30, 27], 30), ([1, 300, 26], 300), ([2**70, 3], 2**70)):
+        with pytest.raises(InvalidInputError) as exc:
+            Word(letters).text
+        assert str(exc.value) == f"letter {bad} has no textual form (only a..z are mapped)"
+    assert repr(Word([0, 1])) == "Word('ab')"
+    assert repr(Word([0, 300])) == "Word([0, 300])"
+
+
 @pytest.mark.parametrize(
     "build",
     [

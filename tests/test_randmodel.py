@@ -151,6 +151,13 @@ def test_prob_vector_takes_only_real_numbers(p):
         ProbVector(p)
 
 
+@pytest.mark.parametrize("p", [[[0.5], [0.5, 0.0]], [0.5, [0.5]], [[0.5, 0.5], 0.0]])
+def test_prob_vector_rejects_ragged_nesting(p):
+    # numpy cannot make an array of these at all
+    with pytest.raises(InvalidInputError, match="probability vector"):
+        ProbVector(p)
+
+
 def test_prob_vector_takes_integers_and_keeps_a_copy():
     assert ProbVector([0, 1]).p.tolist() == [0.0, 1.0]
     assert ProbVector(np.array([1], dtype=np.uint8)).p.dtype == np.float64

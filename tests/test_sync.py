@@ -9,6 +9,8 @@ from helpers import (
     constant_automaton,
     permutation_automaton,
     reference_exact_reset,
+    reference_greedy,
+    reference_greedy_rounds,
     reference_merge_search,
 )
 from synchrolab import (
@@ -230,18 +232,6 @@ def test_merge_search_visit_guard_boundary(monkeypatch):
         sync._merge_search(aut, *src)
 
 
-def reference_greedy(aut, states):
-    cur, out = sorted(states), []
-    while len(cur) > 1:
-        res = reference_merge_search(aut, list(itertools.combinations(cur, 2)))
-        if res is None:
-            return None
-        for c in res[1]:
-            cur = sorted({int(aut.letter(c)[s]) for s in cur})
-        out.extend(res[1])
-    return Word(out)
-
-
 def test_greedy_word_matches_reference(rng):
     for trial in range(20):
         aut = sample_uniform_automaton(int(rng.integers(2, 30)), 2 + trial % 2, rng)
@@ -269,6 +259,46 @@ def test_greedy_word_from_subsets_matches_reference(rng):
                     greedy_synchronize(aut, A)
             else:
                 assert greedy_synchronize(aut, A) == expected
+
+
+def test_greedy_rounds_match_the_reference_rounds(rng):
+    # round by round: the image size, the word, and whether the finder
+    # found it, which it does exactly when its levels 0 to D of an image of
+    # m states, m (1 + k + ... + k^D) states in all, fit its cap; a stuck
+    # image ends the rounds with NotSynchronizableError
+    from synchrolab import sync
+
+    auts = []
+    for trial in range(60):
+        n = int(rng.integers(3, 60))
+        if trial % 4 == 0:
+            auts.append(tie_heavy_automaton(rng, n))
+        elif trial % 4 == 1:
+            auts.append(cycle_with_trees(rng, 1 + trial % 3, n + 1))
+        else:
+            auts.append(sample_uniform_automaton(n, 2 + trial % 2, rng))
+    auts += [two_component_automaton(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)), 2) for _ in range(20)]
+    auts += [cerny_automaton(n) for n in range(4, 13)]
+    kinds = []
+    for aut in auts:
+        n = aut.n
+        A = StateSet(n, rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        expected = list(reference_greedy_rounds(aut, A.members.tolist()))
+        stuck = expected[-1][1] is None
+        rounds = []
+        if stuck:
+            with pytest.raises(NotSynchronizableError):
+                rounds += sync._greedy_rounds(aut, A.members)
+        else:
+            rounds += sync._greedy_rounds(aut, A.members)
+        assert len(rounds) == len(expected) - stuck
+        for (size, word, by_finder), (m, letters) in zip(rounds, expected):
+            assert (size, word) == (m, Word(letters))
+            levels = m * sum(aut.k ** j for j in range(len(letters) + 1))
+            assert by_finder == (levels <= sync._FINDER_STATES * n)
+            kinds.append((aut.k, by_finder))
+    assert {k for k, by_finder in kinds} == {1, 2, 3}
+    assert {by_finder for k, by_finder in kinds} == {True, False}
 
 
 def test_greedy_permutation_on_a_subset_reports_its_first_pair(monkeypatch):
@@ -310,17 +340,19 @@ def test_greedy_reads_every_round_off_the_finders_pair(monkeypatch):
         assert events == ["_closest_source", "_pair_word"] * (len(events) // 2)
 
 
-def test_greedy_with_a_constant_letter_finds_every_round_and_keeps_the_reference_word(rng, monkeypatch):
+def test_greedy_with_a_constant_letter_finds_every_round_and_keeps_the_reference_word(rng):
     # a constant letter merges every pair in one letter: the finder names
     # the round's pair at its first level, and no search runs
-    found = spy_on(monkeypatch, "_closest_source")
-    searches = spy_on(monkeypatch, "_merge_search")
+    from synchrolab import sync
+
+    rounds = []
     for n in (30, 40, 50):
         aut = Automaton(np.stack([np.full(n, n // 2), rng.integers(0, n, n)], axis=1))
         for A in (StateSet.full(n), StateSet(n, rng.choice(n, size=n // 2, replace=False))):
             assert greedy_synchronize(aut, A) == reference_greedy(aut, A.members.tolist())
-    assert [len(pair[2]) - 1 for pair in found] == [1] * 6
-    assert not searches
+            rounds += sync._greedy_rounds(aut, A.members)
+    assert [len(word) for size, word, by_finder in rounds] == [1] * 6
+    assert all(by_finder for size, word, by_finder in rounds)
 
 
 # ---------------------------------------------------------------------
@@ -424,20 +456,49 @@ def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size)
             assert sync._pair_word(levels, a, b) == word
 
 
-def test_least_meeting_is_the_first_pair_that_meets_in_a_row(rng):
+def least_meeting_by_pairs(level):
+    """The least a * m + b over every pair of columns a < b of every row
+    of level that hold one state, or None."""
+    m = level.shape[1]
+    meets = [a * m + b for row in level.tolist() for a, b in itertools.combinations(range(m), 2) if row[a] == row[b]]
+    return min(meets, default=None)
+
+
+def test_least_meeting_is_the_first_pair_that_meets_in_a_row(rng, monkeypatch):
     # against every pair of every row, in np.triu_indices order, on both
-    # sides of the cut between the pairwise test and the key sort
+    # sides of the cut between the pairwise test and the key sort, also
+    # when rows are read a few states at a time; then levels of three
+    # blocks and a row, their rows of distinct states but for planted
+    # meetings: none, one pair in the last row of the last block, or rows
+    # with one or several meeting pairs in any block
     from synchrolab import sync
 
-    found = 0
-    for _ in range(300):
-        n = int(rng.integers(2, 2000))
-        m = int(rng.integers(2, 40))
-        block = rng.integers(0, n, size=(int(rng.integers(1, 40)), m)).astype(np.int32)
-        meets = [a * m + b for row in block for a, b in itertools.combinations(range(m), 2) if row[a] == row[b]]
-        assert sync._least_meeting(block) == min(meets, default=None)
-        found += bool(meets)
-    assert 50 < found < 250
+    for slice_size in (sync._LEVEL_SLICE, 5):
+        monkeypatch.setattr(sync, "_LEVEL_SLICE", slice_size)
+        found = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 2000))
+            m = int(rng.integers(2, 40))
+            block = rng.integers(0, n, size=(int(rng.integers(1, 40)), m)).astype(np.int32)
+            meets = least_meeting_by_pairs(block)
+            assert sync._least_meeting(block) == meets
+            found += meets is not None
+        assert 50 < found < 250
+        for m in (2, 15, 16, 17, 64):
+            cells = m * (m - 1) // 2 if m < sync._PAIRWISE_STATES else m
+            height = 3 * max(1, slice_size // cells) + 1
+            for trial in range(12):
+                level = rng.random((height, 4 * m)).argsort(axis=1)[:, :m].astype(np.int32)
+                assert sync._least_meeting(level) is None
+                if trial % 3 == 0:
+                    rows = [height - 1]
+                else:
+                    rows = rng.choice(height, size=int(rng.integers(1, min(height, 5) + 1)), replace=False)
+                for r in rows:
+                    for _ in range(1 if trial % 3 == 0 else int(rng.integers(1, 4))):
+                        a, b = rng.choice(m, size=2, replace=False)
+                        level[r, b] = level[r, a]
+                assert sync._least_meeting(level) == least_meeting_by_pairs(level[np.sort(rows)])
 
 
 def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypatch):
@@ -540,6 +601,32 @@ def test_pair_word_is_the_search_word_of_its_pair(rng, monkeypatch, slice_size):
     assert checked > 600
 
 
+def test_pair_word_walks_back_through_levels_where_several_rows_hold_its_pair(rng):
+    # tied letters: the pair the word reaches after j letters sits in
+    # several rows of level j, and the walk must take the least step over
+    # all of them to give the search's word
+    from synchrolab import sync
+
+    several = 0
+    for trial in range(30):
+        n = int(rng.integers(3, 30))
+        aut = tie_heavy_automaton(rng, n)
+        maps = [aut.letter(c) for c in range(aut.k)]
+        pairs = list(itertools.combinations(range(n), 2))
+        for x, y in pairs[::len(pairs) // 12 + 1]:
+            res = sync._merge_search(aut, np.array([x]), np.array([y]))
+            if res is None:
+                continue
+            word = res[1]
+            levels = pair_levels(maps, x, y, len(word))
+            assert sync._pair_word(levels, 0, 1) == word
+            pair = {x, y}
+            for j, level in enumerate(levels[:-1]):
+                several += sum(set(row) == pair for row in level.tolist()) > 1
+                pair = {int(maps[word[j]][s]) for s in pair}
+    assert several > 50
+
+
 def test_pair_word_memory_on_a_deep_pair(rng):
     # the deepest of some random pairs at n = 200000, whose levels hold
     # about 2n states or more: the finder's levels and the walk back over
@@ -568,52 +655,48 @@ def test_every_round_applies_its_word_to_the_image(rng, monkeypatch):
     # each image greedy hands the finder is the word of the round before
     # applied to that round's image, for finder rounds and fallback rounds
     # alike, over one to three letters, tied letters, two components and
-    # Cerny automata, whose deep pairs send rounds to the fallback
+    # Cerny automata, whose deep pairs send rounds to the fallback; the
+    # words come from greedy's rounds, the images from the finder's calls
     from synchrolab import sync
 
-    events = []
+    finder, images = sync._closest_source, []
 
-    def record(name, keep):
-        fn = getattr(sync, name)
+    def closest_source(maps, cur):
+        images.append(cur.copy())
+        return finder(maps, cur)
 
-        def spy(*args):
-            result = fn(*args)
-            events.append((name, keep(args, result)))
-            return result
-
-        monkeypatch.setattr(sync, name, spy)
-
-    record("_closest_source", lambda args, result: args[1].copy())
-    record("_pair_word", lambda args, result: result)
-    record("_merge_search", lambda args, result: None if result is None else result[1])
+    monkeypatch.setattr(sync, "_closest_source", closest_source)
     auts = []
     for trial in range(60):
         n = int(rng.integers(3, 300))
         auts.append(tie_heavy_automaton(rng, n) if trial % 4 == 3 else sample_uniform_automaton(n, 1 + trial % 4, rng))
     auts += [two_component_automaton(rng, int(rng.integers(2, 13)), int(rng.integers(2, 13)), 2) for _ in range(20)]
     auts += [cerny_automaton(n) for n in range(4, 17)]
-    rounds = []
+    kinds = []
     for aut in auts:
         n = aut.n
-        events.clear()
+        images.clear()
+        rounds = []
+        cur = StateSet(n, rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)).members
         try:
-            greedy_synchronize(aut, StateSet(n, rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)))
+            rounds += sync._greedy_rounds(aut, cur)
             synchronized = True
         except NotSynchronizableError:
             synchronized = False
-        images = [cur for name, cur in events if name == "_closest_source"]
-        words = [(name, word) for name, word in events if name != "_closest_source"]
-        assert len(words) == len(images)
-        for cur, (name, word), after in zip(images, words, [*images[1:], None]):
-            if after is None:
-                assert synchronized == (_image_members(aut, _runs(word or ()), cur).size == 1)
-                break
-            assert after.dtype == np.int64
-            assert np.array_equal(after, _image_members(aut, _runs(word), cur))
-            rounds.append((aut.k, name))
-    assert {k for k, name in rounds} == {1, 2, 3}
-    names = [name for k, name in rounds]
-    assert names.count("_pair_word") > 500 and names.count("_merge_search") > 20
+        # a stuck image is handed to the finder but yields no round; under
+        # permutation letters no image is
+        assert len(rounds) <= len(images) <= len(rounds) + (not synchronized)
+        for (size, word, by_finder), before in zip(rounds, images):
+            assert before.dtype == np.int64
+            assert np.array_equal(before, cur) and size == cur.size
+            cur = _image_members(aut, _runs(word), cur)
+            kinds.append((aut.k, by_finder))
+        if len(images) > len(rounds):
+            assert np.array_equal(images[-1], cur)
+        assert synchronized == (cur.size == 1)
+    assert {k for k, by_finder in kinds} == {1, 2, 3}
+    finder_rounds = [by_finder for k, by_finder in kinds]
+    assert finder_rounds.count(True) > 500 and finder_rounds.count(False) > 20
 
 
 def three_chains(n, d):
@@ -800,15 +883,15 @@ def test_greedy_cerny_is_verified_and_not_shorter_than_optimum(cerny4):
     assert len(w) >= 9
 
 
-def test_greedy_on_cerny_automata_matches_reference(monkeypatch):
+def test_greedy_on_cerny_automata_matches_reference():
     # Cerny pairs merge in up to n (n - 1) / 2 letters, so the finder gives
     # up at its cap in some rounds: the multi-source search then runs
-    searches = spy_on(monkeypatch, "_merge_search")
+    from synchrolab import sync
+
     for n in range(4, 17):
-        searches.clear()
         aut = cerny_automaton(n)
         assert greedy_synchronize(aut, StateSet.full(n)) == reference_greedy(aut, range(n))
-        assert searches
+        assert not all(by_finder for size, word, by_finder in sync._greedy_rounds(aut, np.arange(n)))
 
 
 def test_greedy_permutation_reports_stuck_pair():
