@@ -456,41 +456,82 @@ def cerny_automaton(n: int) -> Automaton:
 # lines 2..n+1: row x holds k whitespace-separated targets, letters 0..k-1.
 # Numbers are ASCII decimal; blank lines are ignored; there are no comments.
 
+# write_dfa builds and writes the text of this many table rows at a time.
+_DFA_BLOCK_ROWS = 1 << 14
+
+
+def _dfa_lines(rows: np.ndarray, width: int) -> str:
+    """The dfa v1 lines of a block of table rows, all entries below 10**width.
+
+    Each entry gets width digit cells, leading zeros included, and one cell
+    for the space after it, or for the newline after a row's last entry;
+    one mask then drops the leading zeros.
+    """
+    k = rows.shape[1]
+    v = rows.astype(_state_dtype(10**width)).ravel()
+    cells = np.empty((v.size, width + 1), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    for col in range(width - 1, -1, -1):
+        q = v // 10
+        cells[:, col] = v - 10 * q + ord("0")
+        if col < width - 1:
+            np.not_equal(v, 0, out=keep[:, col])  # v == 0: a leading zero
+        v = q
+    cells[:, width] = ord(" ")
+    cells[k - 1 :: k, width] = ord("\n")
+    return cells[keep].tobytes().decode("ascii")
+
 
 def write_dfa(aut: Automaton, dest: str | Path | TextIO) -> None:
-    """Serialize an automaton in the dfa v1 text format."""
+    """Serialize an automaton in the dfa v1 text format, writing the text of
+    each block of _DFA_BLOCK_ROWS rows as soon as it is built."""
     n, k = aut.table.shape
-    row = " ".join(["%d"] * k) + "\n"
-    text = f"dfa v1 {n} {k}\n" + row * n % tuple(aut.table.ravel().tolist())
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text)
-    else:
-        dest.write(text)
+    width = len(str(n - 1))
+    with open(dest, "w") if isinstance(dest, (str, Path)) else contextlib.nullcontext(dest) as out:
+        out.write(f"dfa v1 {n} {k}\n")
+        for lo in range(0, n, _DFA_BLOCK_ROWS):
+            out.write(_dfa_lines(aut.table[lo : lo + _DFA_BLOCK_ROWS], width))
+
+
+def _dfa_header(stream: TextIO) -> tuple[str, int]:
+    """The first non-blank line of stream, and how many lines it has read."""
+    try:
+        for count, line in enumerate(stream, 1):
+            if line.strip():
+                return line, count
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"undecodable dfa text: {exc}") from exc
+    raise InvalidInputError("empty dfa file")
 
 
 def read_dfa(source: str | Path | TextIO) -> Automaton:
-    """Parse the dfa v1 text format, streaming the rows into one table;
-    malformed input raises InvalidInputError."""
-    with open(source) if isinstance(source, (str, Path)) else contextlib.nullcontext(source) as stream:
-        for header in stream:
-            if header.strip():
-                break
-        else:
-            raise InvalidInputError("empty dfa file")
-        head = header.split()
-        nk = "".join(head[2:])
-        if len(head) != 4 or head[:2] != ["dfa", "v1"] or not (nk.isascii() and nk.isdigit()):
-            raise InvalidInputError(f"bad header {header.strip()!r}, expected 'dfa v1 <n> <k>'")
-        n, k = int(head[2]), int(head[3])
-        if n < 1 or k < 1:
-            raise InvalidInputError("header must declare positive n and k")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns, then truncates 1.5
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # no rows
-            try:
-                table = np.loadtxt(stream, dtype=np.int64, ndmin=2, comments=None)
-            except (ValueError, DeprecationWarning) as exc:
-                raise InvalidInputError(f"bad transition rows: {exc}") from exc
+    """Parse the dfa v1 text format into one table; malformed input raises
+    InvalidInputError.
+
+    numpy's C reader parses the rows.  Given a path, it opens the file
+    itself and reads it in chunks, skipping the lines up to the header;
+    given a text stream, it takes the lines after the header one at a time.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source) as stream:
+            header, skip = _dfa_header(stream)
+    else:
+        header, _ = _dfa_header(source)
+        skip = 0  # the stream is past its header
+    head = header.split()
+    nk = "".join(head[2:])
+    if len(head) != 4 or head[:2] != ["dfa", "v1"] or not (nk.isascii() and nk.isdigit()):
+        raise InvalidInputError(f"bad header {header.strip()!r}, expected 'dfa v1 <n> <k>'")
+    n, k = int(head[2]), int(head[3])
+    if n < 1 or k < 1:
+        raise InvalidInputError("header must declare positive n and k")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns, then truncates 1.5
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # no rows
+        try:
+            table = np.loadtxt(source, dtype=np.int64, ndmin=2, comments=None, skiprows=skip)
+        except (ValueError, DeprecationWarning) as exc:  # a UnicodeDecodeError is a ValueError
+            raise InvalidInputError(f"bad transition rows: {exc}") from exc
     if table.shape[0] != n:
         raise InvalidInputError(f"expected {n} transition rows, found {table.shape[0]}")
     if table.shape[1] != k:

@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,7 +471,7 @@ def test_dfa_round_trip_via_streams():
 
 @_hypothesis
 @given(st.data())
-def test_dfa_text_matches_per_row_writer_and_round_trips(data):
+def test_dfa_text_matches_per_row_writer_and_round_trips(tmp_path_factory, data):
     n = data.draw(st.integers(1, 40))
     k = data.draw(st.integers(1, 4))
     entries = data.draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))
@@ -488,14 +489,72 @@ def test_dfa_text_matches_per_row_writer_and_round_trips(data):
         padded.append(line.replace(" ", data.draw(st.sampled_from([" ", "\t", " \t", "  "]))))
     padded += data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
     assert read_dfa(io.StringIO("\n".join(padded))) == aut
+    # by path, numpy skips the lines up to the header, blank ones included
+    path = tmp_path_factory.getbasetemp() / "padded.dfa"
+    path.write_text("\n".join(padded))
+    assert read_dfa(path) == aut
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_dfa_text_matches_per_row_writer_at_digit_widths_and_block_ends(k, tmp_path, monkeypatch):
+    rng = np.random.default_rng(k)
+    path = tmp_path / "a.dfa"
+    # with blocks of 64 rows, n = 63, 64 and 65 end one row short of a
+    # block, on its end and one row into the next
+    for block in (None, 64):
+        if block is not None:
+            monkeypatch.setattr("synchrolab.core._DFA_BLOCK_ROWS", block)
+        for n in (1, 2, 10, 11, 100, 101, 1001, 63, 64, 65):
+            table = rng.integers(0, n, (n, k))
+            edges = [v for v in (0, 9, 10, 99, 100, 999, 1000, n - 1) if v < n][: n * k]
+            table.flat[rng.choice(n * k, len(edges), replace=False)] = edges
+            table[-1, -1] = n - 1
+            aut = Automaton(table)
+            expected = reference_dfa_text(aut)
+            buf = io.StringIO()
+            write_dfa(aut, buf)
+            assert buf.getvalue() == expected, (block, n)
+            write_dfa(aut, path)
+            assert path.read_bytes() == expected.encode(), (block, n)
+
+
+def test_write_dfa_peak_does_not_grow_with_n(tmp_path):
+    rng = np.random.default_rng(5)
+    for n in (5 * 10**4, 4 * 10**5):
+        aut = Automaton(rng.integers(0, n, (n, 2)))
+        tracemalloc.start()
+        try:
+            write_dfa(aut, tmp_path / "a.dfa")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1 MiB, the temporaries of one block of rows
+        assert peak < 3 * 2**20, n
 
 
 _default_warnings = pytest.mark.filterwarnings("default")
 
 
+def _read_by_stream_and_by_path(cases):
+    """Each case twice: from a stream, under its own id, and from a file on
+    disk, under that id after "path:"."""
+    for case in cases:
+        if isinstance(case, str):
+            case = pytest.param(case)
+        (text,), marks = case.values, case.marks
+        ident = case.id if case.id is not None else text
+        yield pytest.param(text, "stream", id=ident, marks=marks)
+        yield pytest.param(text, "path", id=f"path:{ident}", marks=marks)
+
+
+# A file read by path is opened in text mode, which turns a lone \r into
+# \n, as README's dfa v1 section states: these files parse, to these rows.
+_TEXT_MODE_READS = {"dfa v1 2 2\n0 0\r0 0\n": [[0, 0], [0, 0]]}
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
+    "text, via",
+    _read_by_stream_and_by_path([
         "",
         "nfa v1 2 2\n0 0\n0 0\n",
         "dfa v2 2 2\n0 0\n0 0\n",
@@ -516,7 +575,7 @@ _default_warnings = pytest.mark.filterwarnings("default")
         "dfa v1 2 2\n",  # no body
         "dfa v1 1_0 1\n" + "0\n" * 10,  # no digit separators in the header
         "dfa v1 \u0662 1\n0\n0\n",  # no non-ASCII digits in the header
-        "dfa v1 2 2\n0 0\r0 0\n",  # a lone carriage return ends no row
+        "dfa v1 2 2\n0 0\r0 0\n",  # in a stream, a lone carriage return ends no row
         "dfa v1 2 1\n0\x0b1\n",  # nor does a vertical tab: one row of two entries
         "dfa v1 2 1\n0\u20281\n",  # nor a line separator
         # not integers; run under the default warning filters, as outside
@@ -524,8 +583,21 @@ _default_warnings = pytest.mark.filterwarnings("default")
         pytest.param("dfa v1 2 2\n1.5 0\n0 0\n", marks=_default_warnings),
         pytest.param("dfa v1 3 1\n2.0\n0\n0\n", marks=_default_warnings),
         pytest.param("dfa v1 2 1\n1e0\n0\n", marks=_default_warnings),
-    ],
+        # a byte that is not UTF-8, in the first chunk the header read
+        # decodes and far past it
+        pytest.param(b"dfa v1 1 1\n0 \xe9\n", id="dfa v1 1 1, byte 0xe9 in the first row"),
+        pytest.param(b"dfa v1 20000 1\n" + b"0\n" * 19999 + b"0 \xe9\n", id="dfa v1 20000 1, byte 0xe9 in the last row"),
+    ]),
 )
-def test_dfa_parse_errors(text):
+def test_dfa_parse_errors(text, via, tmp_path):
+    data = text if isinstance(text, bytes) else text.encode()
+    if via == "path":
+        source = tmp_path / "bad.dfa"
+        source.write_bytes(data)
+    else:
+        source = io.StringIO(text) if isinstance(text, str) else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    if via == "path" and text in _TEXT_MODE_READS:
+        assert read_dfa(source) == Automaton(_TEXT_MODE_READS[text])
+        return
     with pytest.raises(InvalidInputError):
-        read_dfa(io.StringIO(text))
+        read_dfa(source)
