@@ -62,17 +62,12 @@ def _as_int_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _first_of_runs(arr: np.ndarray, low_bits: int = 0) -> np.ndarray:
-    """Mask of the first element of each run of a sorted array, a run being
-    values that agree above their `low_bits` lowest bits."""
+def _first_of_runs(arr: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values of a sorted
+    array."""
     first = np.empty(arr.size, dtype=bool)
     first[:1] = True
-    if low_bits:
-        differ = arr[1:] ^ arr[:-1]
-        differ >>= low_bits
-        np.not_equal(differ, 0, out=first[1:])
-    else:
-        np.not_equal(arr[1:], arr[:-1], out=first[1:])
+    np.not_equal(arr[1:], arr[:-1], out=first[1:])
     return first
 
 
@@ -328,6 +323,11 @@ def _check_word(aut: Automaton, w: Word) -> None:
         raise InvalidInputError(f"letter {top} out of range [0, {aut.k})")
 
 
+def _check_state_set(aut: Automaton, A: StateSet) -> None:
+    if A.n != aut.n:
+        raise InvalidInputError(f"state set is over [0, {A.n}) but the automaton has {aut.n} states")
+
+
 def apply_word(aut: Automaton, w: Word, x: int) -> int:
     """Follow w from state x, leftmost letter first."""
     x = _as_index(x, "state")
@@ -405,10 +405,7 @@ def _image_members(aut: Automaton, runs: Iterable[tuple[int, int]], members: np.
 
 def image(aut: Automaton, w: Word, A: StateSet) -> StateSet:
     """Set image of A under w, i.e. {apply_word(aut, w, x) : x in A}."""
-    if A.n != aut.n:
-        raise InvalidInputError(
-            f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
-        )
+    _check_state_set(aut, A)
     _check_word(aut, w)
     return StateSet._from_sorted_unique(aut.n, _image_members(aut, _runs(w), A.members))
 
@@ -425,10 +422,7 @@ def iterate_unary_image(aut: Automaton, letter: int, t: int, A: StateSet) -> Sta
     t = _as_index(t, "repetition count")
     if t < 0:
         raise InvalidInputError("repetition count must be non-negative")
-    if A.n != aut.n:
-        raise InvalidInputError(
-            f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
-        )
+    _check_state_set(aut, A)
     aut.letter(letter)  # range check
     members = _image_members(aut, [(letter, t)], A.members)
     return StateSet._from_sorted_unique(aut.n, members)

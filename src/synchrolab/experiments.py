@@ -69,9 +69,11 @@ class ExperimentConfig:
 
     For extinction-bound the n values are vertex counts, `trials` is the
     Monte Carlo repetition count per grid point, and each (ell, k) grid
-    point occupies one trial slot.  A malformed request raises
-    InvalidInputError here, before any trial runs; `overrides` keeps the
-    values as given, and `params` holds them parsed.
+    point occupies one trial slot; every set size ell must lie in [1, n]
+    for every n, and every distance k must be non-negative.  A malformed
+    request, such as an n below the least that the experiment's trials
+    take, raises InvalidInputError here, before any trial runs;
+    `overrides` keeps the values as given, and `params` holds them parsed.
     """
 
     experiment: str
@@ -90,6 +92,9 @@ class ExperimentConfig:
         self.n_list = _ints("n_list", self.n_list)
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise InvalidInputError("n_list must be strictly ascending")
+        least = EXPERIMENTS[self.experiment].min_n
+        if self.n_list[0] < least:
+            raise InvalidInputError(f"{self.experiment} needs n >= {least}, got n = {self.n_list[0]}")
         if isinstance(self.trials, numbers.Integral):
             self.trials = [self.trials] * len(self.n_list)
         self.trials = _ints("trials", self.trials)
@@ -107,7 +112,13 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"unsupported overrides for {self.experiment}: {sorted(extra)}"
             )
-        self.params  # a malformed override value raises here
+        params = self.params  # a malformed override value raises here
+        if self.experiment == "extinction-bound":
+            for ell in params["ell_values"]:
+                if not 1 <= ell <= self.n_list[0]:
+                    raise InvalidInputError(f"set size {ell} out of range [1, {self.n_list[0]}]")
+            if min(params["k_values"]) < 0:
+                raise InvalidInputError("distance k must be non-negative")
 
     @property
     def params(self) -> dict:
@@ -350,11 +361,8 @@ def _trial_extinction(
     rng: np.random.Generator, nv: int, ell: int, k: int, reps: int, prob_vector: str
 ) -> dict[str, float]:
     """One grid point: Monte Carlo estimate of Pr(no vertex at distance
-    exactly k from a uniform ell-set), versus the extinction bound q_k^ell."""
-    if not 1 <= ell <= nv:
-        raise InvalidInputError(f"set size {ell} out of range [1, {nv}]")
-    if k < 0:
-        raise InvalidInputError("distance k must be non-negative")
+    exactly k from a uniform ell-set), versus the extinction bound q_k^ell,
+    for 1 <= ell <= nv and k >= 0."""
     if prob_vector == "uniform":
         p = np.full(nv, 1.0 / nv)
     else:
@@ -675,7 +683,8 @@ class Experiment:
     accepted override to its default and its parser `(what, raw) -> value`;
     `layout(params, count)` gives the params of each trial slot at one n
     (`count` is the config's trials entry for that n); `judge(config,
-    stats)` fills in the summary's derived values, verdicts and metadata.
+    stats)` fills in the summary's derived values, verdicts and metadata;
+    `min_n` is the least n the trial takes.
     """
 
     name: str
@@ -683,17 +692,18 @@ class Experiment:
     judge: Callable[[ExperimentConfig, SummaryStats], None]
     overrides: dict[str, tuple] = field(default_factory=dict)
     layout: Callable[[dict, int], list[dict]] = _grid_layout
+    min_n: int = 1
 
 
 EXPERIMENTS = {
     e.name: e
     for e in (
-        Experiment("unary-image", partial(_on_sample, measure_unary_image), _judge_unary),
+        Experiment("unary-image", partial(_on_sample, measure_unary_image), _judge_unary, min_n=2),
         Experiment("interleaved-image", partial(_on_sample, measure_interleaved_image),
-                   _judge_interleaved),
+                   _judge_interleaved, min_n=2),
         Experiment("pair-radius", partial(_on_sample, measure_pair_radius), _judge_radius,
-                   {"bound_multiplier": (RADIUS_BOUND_MULTIPLIER, _number)}),
-        Experiment("two-phase", partial(_on_sample, measure_two_phase), _judge_two_phase),
+                   {"bound_multiplier": (RADIUS_BOUND_MULTIPLIER, _number)}, min_n=2),
+        Experiment("two-phase", partial(_on_sample, measure_two_phase), _judge_two_phase, min_n=2),
         Experiment("extinction-bound", _trial_extinction, _judge_extinction,
                    {"ell_values": (DEFAULT_ELL_VALUES, _ints),
                     "k_values": (DEFAULT_K_VALUES, _ints),

@@ -5,11 +5,13 @@ oracle over the power set.
 A pair of states {u, v}, u < v, has one encoding everywhere: the canonical
 int64 code u * n + v.
 
-The forward pair search is a plain multi-source BFS with one level step
-(_next_level): a level's children, each kept once with its least (source
-label, letter, parent).  Greedy finds each round's closest pair and its
-merge length from the images x(I) of the image under the words x of each
-length: the first length at which some x(I) holds one state twice
+The forward pair search is a plain multi-source BFS from every pair of an
+image, with one level step (_next_level): a level's children, each kept
+once with its least (source label, letter, parent).  It checks its own
+budget, the source pairs before it builds them and the visited pairs at
+each level.  Greedy finds each round's closest pair and its merge length
+from the images x(I) of the image under the words x of each length: the
+first length at which some x(I) holds one state twice
 (_closest_source), a sort of each level's plain states within rows
 telling whether it holds a meeting at all (_least_meeting).  The search's
 word is read off the winning pair's two columns of those levels, walked
@@ -23,8 +25,9 @@ _reconstruct_word.  The all-pairs radius is a reverse level BFS from the
 diagonal, direction-optimising as in Beamer, Asanovic and Patterson (SC
 2012): it pushes a sparse level by spawning the pairs of preimages of each
 of its pairs, and pulls a dense one, each pair looking up its images in
-n x n bool matrices of the level and of the pairs seen.  The push step's
-counts, known before it spawns a pair, decide which.
+n x n bool matrices of the level and of the pairs seen.  The push step
+(_push_level) counts its spawn before it spawns a pair, and those counts
+decide which.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Automaton, StateSet, Word, _as_index, _first_of_runs, _offsets, _preimage_runs, _sorted_unique
-from .core import image, is_reset_word
+from .core import Automaton, StateSet, Word, image, is_reset_word
+from .core import _as_index, _check_state_set, _first_of_runs, _offsets, _preimage_runs, _sorted_unique
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
 # Product space guards: the all-pairs radius holds at most three n x n
@@ -60,7 +63,8 @@ _LEVEL_SLICE = 1 << 14
 # The finder compares the columns of images of fewer states than this
 # pairwise, over index pairs built once here (a np.triu_indices call costs
 # about as much as comparing a small level); on larger images it sorts keys
-# (_least_meeting).
+# (_least_meeting).  The pair search labels the pairs of a small image by
+# the same index pairs.
 _PAIRWISE_STATES = 16
 _COLUMN_PAIRS = [np.triu_indices(m, 1) for m in range(_PAIRWISE_STATES)]
 
@@ -174,68 +178,6 @@ def _canonical_children(letter_maps, codes: np.ndarray, n: int):
     return out, diagonal
 
 
-def _stretches(counts: np.ndarray, total: int):
-    """Bounds (lo, hi) of the runs of positive counts whose sums end in one
-    stretch of _LEVEL_SLICE: a run's sum passes _LEVEL_SLICE only by its
-    first count."""
-    if total > _LEVEL_SLICE:
-        cuts = np.searchsorted(counts.cumsum(), np.arange(0, total, _LEVEL_SLICE), side="right")
-        cuts = cuts[_first_of_runs(cuts)]
-    else:
-        cuts = [0] if total else []
-    return zip(cuts, [*cuts[1:], counts.size])
-
-
-def _spawn_run(order, sx, cx, sy, cy):
-    """The spawn of the pairs {order[sx[i] + a], order[sy[i] + b]}, a < cx[i]
-    (cx may be one count for every i) and b < cy[i], over every i: the i
-    that spawn a pair, with their counts cx[i] * cy[i], and the total count.
-    Returns (order, sx, sy, cy, m, total) over those i."""
-    m = cx * cy
-    i = m.nonzero()[0]
-    m = m[i]
-    return order, sx[i], sy[i], cy[i], m, int(m.sum())
-
-
-def _spawned_codes(run, n: int):
-    """Canonical codes of the pairs of a _spawn_run; the two runs of an i
-    never overlap, so no pair is on the diagonal.  Yields them in arrays of
-    the i whose codes end in one stretch of _LEVEL_SLICE codes: an array is
-    longer only by the codes of its first i."""
-    order, sx, sy, cy, m, total = run
-    for lo, hi in _stretches(m, total):
-        c = m[lo:hi]
-        a, b = np.divmod(_offsets(c), cy[lo:hi].repeat(c))
-        a += sx[lo:hi].repeat(c)
-        b += sy[lo:hi].repeat(c)
-        a = order[a]
-        b = order[b]
-        codes = np.minimum(a, b)
-        codes *= n
-        np.maximum(a, b, out=b)
-        codes += b
-        yield codes
-
-
-def _level_runs(letters, level, n: int):
-    """The _spawn_run of each letter that sends a pair onto a pair of `level`
-    (distinct codes), or onto the diagonal when level is None, with
-    letters[c] the preimage runs of letter c: (x, y) spawns every pair of a
-    preimage of x and one of y.  Steps through the level _LEVEL_SLICE pairs
-    at a time."""
-    if level is None:
-        p = np.arange(n, dtype=np.int64)
-        for order, start, count in letters:
-            # Position p of order pairs with the rest of its preimage set.
-            ends = np.repeat(start + count, count)
-            yield _spawn_run(order, p, 1, p + 1, ends - p - 1)
-        return
-    for s in range(0, level.size, _LEVEL_SLICE):
-        x, y = np.divmod(level[s:s + _LEVEL_SLICE], n)
-        for order, start, count in letters:
-            yield _spawn_run(order, start[x], count[x], start[y], count[y])
-
-
 def _next_level(cand_codes: np.ndarray, labels: np.ndarray):
     """The distinct children of a level, sorted: cand_codes[c * width + i]
     is node i's child under letter c, and a child keeps its least
@@ -254,24 +196,33 @@ def _next_level(cand_codes: np.ndarray, labels: np.ndarray):
     return cand_codes[starts], keys >> shift, keys & ((1 << shift) - 1)
 
 
-def _merge_search(aut, src_x, src_y, max_len=None):
+def _merge_search(aut, cur, max_len=None):
     """Level-synchronous BFS over unordered pairs from many sources at once.
 
-    src_x/src_y are canonical (x < y) pairs in lexicographic order; each BFS
-    node carries the smallest source index that reaches it in the minimal
+    The sources are every pair of cur, sorted distinct int64 states,
+    labelled in np.triu_indices order, which is lexicographic; each BFS
+    node carries the smallest source label that reaches it in the minimal
     number of steps, so a closest source is found deterministically (ties
-    broken by source index, then letter, then frontier position).  Returns
-    (source_index, word) or None when no source can merge within max_len
-    letters (None = search to exhaustion).  Raises CapacityError once the
+    broken by source label, then letter, then frontier position).  Returns (label,
+    word) or None when no source can merge within max_len letters (None =
+    search to exhaustion).  Raises CapacityError before it builds the
+    sources when cur has more than PAIR_VISIT_LIMIT pairs, and once the
     search has visited more than PAIR_VISIT_LIMIT pairs.
 
     The search stops at the first level with a child on the diagonal: the
     least label there wins, and its word ends in the least letter * width +
     position of the diagonal children of that label's nodes.
     """
-    n = aut.n
+    n, m = aut.n, cur.size
+    npairs = m * (m - 1) // 2
+    if npairs > PAIR_VISIT_LIMIT:
+        raise CapacityError(
+            f"{npairs} candidate pairs exceed the search budget of {PAIR_VISIT_LIMIT} pairs "
+            "(PAIR_VISIT_LIMIT); no stuck pair is named, since only a search over those pairs could find one"
+        )
+    i, j = _COLUMN_PAIRS[m] if m < _PAIRWISE_STATES else np.triu_indices(m, 1)
+    codes = cur[i] * n + cur[j]
     letter_maps = [aut.letter(c) for c in range(aut.k)]
-    codes = src_x.astype(np.int64) * n + src_y.astype(np.int64)
     labels = np.arange(codes.size, dtype=np.int64)
     # Per level below the sources: each node's candidate index
     # letter * width + parent, and the width of the level it came from.
@@ -461,13 +412,7 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
         max_len = _as_index(max_len, "max_len")
     if x == y:
         return PairDistanceResult(0, Word())
-    lo, hi = (x, y) if x < y else (y, x)
-    res = _merge_search(
-        aut,
-        np.array([lo], dtype=np.int64),
-        np.array([hi], dtype=np.int64),
-        max_len=max_len,
-    )
+    res = _merge_search(aut, np.array([min(x, y), max(x, y)]), max_len)
     if res is None:
         return PairDistanceResult(math.inf, None)
     _label, word = res
@@ -475,22 +420,61 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
 
 
 def _push_level(letters, level, seen, limit):
-    """The next level by the push step (_level_runs), as codes, or None when
-    the step would spawn more than `limit` pairs: the runs give the count
-    before any pair is spawned.  Marks each new pair (u, v) in the n x n
-    map seen, also as (v, u); marking each array as it comes keeps a pair
-    out of the level twice."""
+    """The next level by the push step, as codes, or None when the step
+    would spawn more than `limit` pairs.
+
+    letters[c] holds the preimage runs of letter c.  A pair (x, y) of
+    `level` (distinct codes) spawns every pair of a preimage of x and one
+    of y; from the diagonal (level None), position p of a letter's order
+    pairs with the rest of its run.  Either way item i spawns the pairs
+    {order[sx[i] + a], order[sy[i] + b]}, a < cx[i] and b < cy[i], from two
+    runs that never overlap, so none is on the diagonal.  The first pass
+    counts every item's spawn, per letter and per _LEVEL_SLICE pairs of
+    the level, and returns None past `limit` before it spawns a pair.  The
+    second spawns the codes in arrays of the items whose codes end in one
+    stretch of _LEVEL_SLICE codes, an array being longer only by the codes
+    of its first item.  It marks each new pair (u, v) in the n x n map
+    seen, also as (v, u); marking each array as it comes keeps a pair out
+    of the level twice."""
     n = seen.shape[0]
-    seen_codes = seen.reshape(-1)
     runs, total = [], 0
-    for run in _level_runs(letters, level, n):
-        total += run[-1]
-        if total > limit:
-            return None
-        runs.append(run)
+    for s in range(0, 1 if level is None else level.size, _LEVEL_SLICE):  # one pass for the diagonal
+        if level is not None:
+            x, y = np.divmod(level[s:s + _LEVEL_SLICE], n)
+        for order, start, count in letters:
+            if level is None:
+                sx = np.arange(n, dtype=np.int64)
+                cx, sy = 1, sx + 1
+                cy = (start + count).repeat(count) - sy
+            else:
+                sx, cx, sy, cy = start[x], count[x], start[y], count[y]
+            m = cx * cy
+            i = m.nonzero()[0]
+            m = m[i]
+            spawn = int(m.sum())
+            total += spawn
+            if total > limit:
+                return None
+            if spawn:
+                runs.append((order, sx[i], sy[i], cy[i], m, spawn))
+    seen_codes = seen.reshape(-1)
     parts = [np.empty(0, dtype=np.int64)]
-    for run in runs:
-        for part in _spawned_codes(run, n):
+    for order, sx, sy, cy, m, spawn in runs:
+        cuts = [0]
+        if spawn > _LEVEL_SLICE:
+            cuts = np.searchsorted(m.cumsum(), np.arange(0, spawn, _LEVEL_SLICE), side="right")
+            cuts = cuts[_first_of_runs(cuts)]
+        for lo, hi in zip(cuts, [*cuts[1:], m.size]):
+            c = m[lo:hi]
+            a, b = np.divmod(_offsets(c), cy[lo:hi].repeat(c))
+            a += sx[lo:hi].repeat(c)
+            b += sy[lo:hi].repeat(c)
+            a = order[a]
+            b = order[b]
+            part = np.minimum(a, b)
+            part *= n
+            np.maximum(a, b, out=b)
+            part += b
             part = part[~seen_codes[part]]
             seen_codes[part] = True
             u, v = np.divmod(part, n)
@@ -625,8 +609,9 @@ def _greedy_rounds(aut: Automaton, cur: np.ndarray):
     (_pair_word): every node on a shortest merging path of the winning
     source carries its label in the multi-source search, so the word is
     the same.  When the finder gives up at its cap on the states of its
-    levels, as on a stuck image, the round runs the multi-source search,
-    under the budget of PAIR_VISIT_LIMIT source pairs, for its word.
+    levels, as on a stuck image, the round runs the multi-source search
+    from every pair of the image, which checks its own budget, for its
+    word.
     Raises NotSynchronizableError naming a stuck pair when no pair of the
     surviving image can merge: under permutation letters, checked once
     before the first round, that needs no search.
@@ -640,14 +625,7 @@ def _greedy_rounds(aut: Automaton, cur: np.ndarray):
         word = _finder_word(maps, cur)
         by_finder = word is not None
         if not by_finder:
-            npairs = cur.size * (cur.size - 1) // 2
-            if npairs > PAIR_VISIT_LIMIT:
-                raise CapacityError(
-                    f"{npairs} candidate pairs exceed the search budget of {PAIR_VISIT_LIMIT} pairs "
-                    "(PAIR_VISIT_LIMIT); no stuck pair is named, since only a search over those pairs could find one"
-                )
-            i, j = np.triu_indices(cur.size, k=1)
-            res = _merge_search(aut, cur[i], cur[j])
+            res = _merge_search(aut, cur)
             if res is None:
                 raise NotSynchronizableError((int(cur[0]), int(cur[1])))
             word = res[1]
@@ -660,10 +638,7 @@ def _greedy_rounds(aut: Automaton, cur: np.ndarray):
 def greedy_synchronize(aut: Automaton, A: StateSet) -> Word:
     """Collapse A to a single state by repeatedly merging a closest pair:
     the words of greedy's rounds (_greedy_rounds), joined."""
-    if A.n != aut.n:
-        raise InvalidInputError(
-            f"state set is over [0, {A.n}) but the automaton has {aut.n} states"
-        )
+    _check_state_set(aut, A)
     if len(A) == 0:
         raise InvalidInputError("cannot synchronize an empty state set")
     out: list[int] = []
@@ -756,7 +731,7 @@ def exact_shortest_reset(aut: Automaton) -> Word | None:
         keys = cand << bits
         keys |= np.arange(cand.size)
         keys.sort()
-        keep = keys[_first_of_runs(keys, low_bits=bits)]
+        keep = keys[_first_of_runs(keys >> bits)]
         keep &= (1 << bits) - 1
         keep.sort()
         pos, letter = np.divmod(index[keep], k)

@@ -152,6 +152,16 @@ def test_stateset_bounds_checked():
         StateSet(0, [])
 
 
+def test_set_images_reject_a_set_over_other_states():
+    aut = cerny_automaton(4)
+    A = StateSet(5, [1, 3])
+    message = r"^state set is over \[0, 5\) but the automaton has 4 states$"
+    with pytest.raises(InvalidInputError, match=message):
+        image(aut, Word([0]), A)
+    with pytest.raises(InvalidInputError, match=message):
+        iterate_unary_image(aut, 0, 3, A)
+
+
 def test_stateset_full_and_equality():
     assert StateSet.full(5) == StateSet(5, range(5))
     assert StateSet(5, [1]) != StateSet(6, [1])
@@ -601,3 +611,9 @@ def test_dfa_parse_errors(text, via, tmp_path):
         return
     with pytest.raises(InvalidInputError):
         read_dfa(source)
+
+
+@pytest.mark.parametrize("text", ["dfa v1 0 2\n", "dfa v1 2 0\n\n\n"])
+def test_dfa_header_must_declare_positive_n_and_k(text):
+    with pytest.raises(InvalidInputError, match="^header must declare positive n and k$"):
+        read_dfa(io.StringIO(text))

@@ -87,6 +87,41 @@ def test_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(InvalidInputError, match="unsigned 64-bit"):
             ExperimentConfig(experiment="unary-image", n_list=[10], trials=1, seed=seed)
+    for data in ([1], "two-phase", None):
+        with pytest.raises(InvalidInputError, match="experiment config must be a JSON object"):
+            ExperimentConfig.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(experiment="extinction-bound", n_list=[10], overrides={"ell_values": [50]}),
+         r"set size 50 out of range \[1, 10\]"),
+        (dict(experiment="extinction-bound", n_list=[10], overrides={"k_values": [-1]}),
+         "distance k must be non-negative"),
+        (dict(experiment="extinction-bound", n_list=[2]), r"set size 3 out of range \[1, 2\]"),
+        (dict(experiment="two-phase", n_list=[1]), "two-phase needs n >= 2, got n = 1"),
+        (dict(experiment="unary-image", n_list=[0]), "unary-image needs n >= 2, got n = 0"),
+        (dict(experiment="pair-radius", n_list=[-3]), "pair-radius needs n >= 2, got n = -3"),
+    ],
+)
+def test_config_rejects_sizes_its_trials_cannot_take(config, message, monkeypatch):
+    # refused when the config is made, before any trial runs
+    from synchrolab import experiments
+
+    monkeypatch.setattr(experiments, "_run_trial", None)
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        ExperimentConfig(trials=1, **config)
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_every_experiment_runs_at_its_least_size(name):
+    n = EXPERIMENTS[name].min_n
+    overrides = {"ell_values": [1]} if name == "extinction-bound" else {}
+    with pytest.raises(InvalidInputError, match=f"needs n >= {n}"):
+        ExperimentConfig(experiment=name, n_list=[n - 1], trials=1, overrides=overrides)
+    stats = run_experiment(ExperimentConfig(experiment=name, n_list=[n], trials=2, overrides=overrides), workers=1)
+    assert stats.per_n[n]
 
 
 def test_config_json_round_trip(tmp_path):
@@ -180,6 +215,9 @@ def test_worker_count_takes_integers_only(monkeypatch):
     assert worker_count(np.int64(4)) == 4
     assert worker_count(0) == 1
     assert worker_count() == 2
+    monkeypatch.setenv("SYNCHROLAB_THREADS", "abc")
+    with pytest.raises(InvalidInputError, match="^SYNCHROLAB_THREADS must be an integer$"):
+        worker_count()
     for bad in (2.7, "3", True, 2.0):
         with pytest.raises(InvalidInputError, match="worker count must be an integer"):
             worker_count(bad)

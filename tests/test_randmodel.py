@@ -13,6 +13,7 @@ from synchrolab import (
     InvalidInputError,
     ProbVector,
     Seed,
+    StateSet,
     check_bernoulli_inequality,
     cyclic_states,
     distance_to_set,
@@ -426,6 +427,13 @@ def test_distance_to_set_validation():
     for bad in ([0.5], [True]):
         with pytest.raises(InvalidInputError, match="must be integers"):
             distance_to_set(g, bad)
+
+
+def test_distance_to_set_takes_a_state_set():
+    g = FunctionalGraph([1, 2, 2, 0, 3])
+    assert distance_to_set(g, StateSet(5, [2, 4])) == distance_to_set(g, [4, 2]) == {0: 2, 1: 1, 2: 0, 3: 3, 4: 0}
+    with pytest.raises(InvalidInputError, match=r"target set is over \[0, 4\) but the graph has 5 vertices"):
+        distance_to_set(g, StateSet(4, [2]))
 
 
 def test_distance_to_set_matches_forward_walk_oracle(rng):

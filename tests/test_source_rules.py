@@ -109,3 +109,37 @@ def test_src_private_names_are_used():
     }
     assert modules
     assert unused_private_names(modules) == []
+
+
+def unread_parameters(tree: ast.AST) -> list[str]:
+    """'line function(parameter)' for each parameter of a private function,
+    at any depth, that its body never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_private(node.name)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.lineno} {node.name}({arg.arg})" for arg in params if arg.arg not in read]
+    return found
+
+
+def test_src_private_function_parameters_are_read():
+    # a parameter that a private function's body never reads is left over
+    # from a deletion: its callers still build and pass what nothing uses
+    sample = ast.parse(
+        "def _f(a, b, *rest, c, **kw):\n    return a + c\n"
+        "def g(unused):\n    def _h(x, y=1):\n        return lambda: x\n    return _h\n"
+        "class K:\n    def _m(self, v):\n        v = 2\n        return self\n"
+    )
+    assert unread_parameters(sample) == [
+        "1 _f(b)", "1 _f(rest)", "1 _f(kw)", "4 _h(y)", "8 _m(v)",
+    ]
+    found = {
+        str(path.relative_to(SRC)): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := unread_parameters(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {}

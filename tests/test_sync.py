@@ -58,6 +58,13 @@ def test_phase1_unary_rejects_small_n():
             build(5.5)
 
 
+def test_default_pair_search_limit():
+    assert default_pair_search_limit(1) == 8
+    assert default_pair_search_limit(1024) == 68
+    with pytest.raises(InvalidInputError, match="need at least one state"):
+        default_pair_search_limit(0)
+
+
 def test_phase1_interleaved_examples():
     assert phase1_word_interleaved(16) == Word.from_text("aaaa" + "baaaa" + "baaaa")
     assert phase1_word_interleaved(2) == Word.from_text("aabaa")
@@ -161,7 +168,7 @@ def test_merge_search_selects_minimal_distance_source(rng):
         if members.size < 2:
             continue
         i, j = np.triu_indices(members.size, k=1)
-        res = _merge_search(aut, members[i], members[j])
+        res = _merge_search(aut, members)
         dists = [
             pair_shortest_merge(aut, int(x), int(y), max_len=math.inf).distance
             for x, y in zip(members[i], members[j])
@@ -206,17 +213,30 @@ def test_merge_search_word_matches_reference(rng):
             aut = tie_heavy_automaton(rng, int(rng.integers(3, 40)))
         else:
             aut = sample_uniform_automaton(int(rng.integers(3, 40)), k, rng)
-        pairs = list(itertools.combinations(range(aut.n), 2))
-        count = int(rng.integers(1, min(len(pairs), 12) + 1))
-        sources = [pairs[i] for i in np.sort(rng.choice(len(pairs), size=count, replace=False))]
-        src = np.array(sources, dtype=np.int64)
+        cur = np.sort(rng.choice(aut.n, size=int(rng.integers(2, min(aut.n, 6) + 1)), replace=False))
+        sources = list(itertools.combinations(cur.tolist(), 2))
         for max_len in (None, 1, 2, 3, 5):
             expected = reference_merge_search(aut, sources, max_len)
-            res = _merge_search(aut, src[:, 0], src[:, 1], max_len=max_len)
+            res = _merge_search(aut, cur, max_len=max_len)
             if expected is None:
                 assert res is None
             else:
                 assert res == (expected[0], Word(expected[1]))
+
+
+def test_merge_search_source_budget_comes_before_the_sources(monkeypatch):
+    # 16 states are 120 source pairs: past a budget of 119, the search
+    # refuses before it builds any source, with greedy's message
+    from synchrolab import sync
+
+    monkeypatch.setattr(sync, "PAIR_VISIT_LIMIT", 119)
+    monkeypatch.setattr(sync.np, "triu_indices", None)  # building the sources would fail
+    with pytest.raises(CapacityError) as exc:
+        sync._merge_search(cerny_automaton(20), np.arange(16))
+    assert str(exc.value) == (
+        "120 candidate pairs exceed the search budget of 119 pairs (PAIR_VISIT_LIMIT); "
+        "no stuck pair is named, since only a search over those pairs could find one"
+    )
 
 
 def test_merge_search_visit_guard_boundary(monkeypatch):
@@ -224,12 +244,12 @@ def test_merge_search_visit_guard_boundary(monkeypatch):
     from synchrolab import sync
 
     aut = permutation_automaton(6)
-    src = np.array([0], dtype=np.int64), np.array([3], dtype=np.int64)
+    cur = np.array([0, 3])
     monkeypatch.setattr(sync, "PAIR_VISIT_LIMIT", 3)
-    assert sync._merge_search(aut, *src) is None
+    assert sync._merge_search(aut, cur) is None
     monkeypatch.setattr(sync, "PAIR_VISIT_LIMIT", 2)
     with pytest.raises(CapacityError, match="pair search visited more than 2 pairs"):
-        sync._merge_search(aut, *src)
+        sync._merge_search(aut, cur)
 
 
 def test_greedy_word_matches_reference(rng):
@@ -451,7 +471,7 @@ def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size)
             cur = np.sort(rng.choice(n, size=int(rng.integers(2, 120)), replace=False))
             a, b, levels = sync._closest_source(maps, cur)
             i, j = np.triu_indices(cur.size, k=1)
-            label, word = sync._merge_search(aut, cur[i], cur[j])
+            label, word = sync._merge_search(aut, cur)
             assert (a, b, len(levels) - 1) == (i[label], j[label], len(word))
             assert sync._pair_word(levels, a, b) == word
 
@@ -594,7 +614,7 @@ def test_pair_word_is_the_search_word_of_its_pair(rng, monkeypatch, slice_size):
         maps = [aut.letter(c) for c in range(aut.k)]
         pairs = list(itertools.combinations(range(n), 2))
         for x, y in pairs[::len(pairs) // 36 + 1]:
-            res = sync._merge_search(aut, np.array([x]), np.array([y]))
+            res = sync._merge_search(aut, np.array([x, y]))
             if res is not None:
                 assert sync._pair_word(pair_levels(maps, x, y, len(res[1])), 0, 1) == res[1]
                 checked += 1
@@ -614,7 +634,7 @@ def test_pair_word_walks_back_through_levels_where_several_rows_hold_its_pair(rn
         maps = [aut.letter(c) for c in range(aut.k)]
         pairs = list(itertools.combinations(range(n), 2))
         for x, y in pairs[::len(pairs) // 12 + 1]:
-            res = sync._merge_search(aut, np.array([x]), np.array([y]))
+            res = sync._merge_search(aut, np.array([x, y]))
             if res is None:
                 continue
             word = res[1]
@@ -647,7 +667,7 @@ def test_pair_word_memory_on_a_deep_pair(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (0, word) == sync._merge_search(aut, np.array([x]), np.array([y]))
+    assert (0, word) == sync._merge_search(aut, np.array([x, y]))
     assert peak < sync._FINDER_STATES * n * 4
 
 
@@ -929,6 +949,11 @@ def test_greedy_from_the_whole_state_set_past_the_pair_budget():
 def test_greedy_rejects_empty_set():
     with pytest.raises(InvalidInputError):
         greedy_synchronize(constant_automaton(4), StateSet(4, []))
+
+
+def test_greedy_rejects_a_set_over_other_states():
+    with pytest.raises(InvalidInputError, match=r"^state set is over \[0, 5\) but the automaton has 4 states$"):
+        greedy_synchronize(constant_automaton(4), StateSet(5, [1, 3]))
 
 
 def test_greedy_random_instances_verify(rng):
