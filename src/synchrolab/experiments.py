@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import Automaton, StateSet, _as_index, image, is_reset_word, iterate_unary_image
-from .errors import InvalidInputError, NotSynchronizableError
+from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 from .randmodel import (
+    EXACT_EXPECTATION_LIMIT,
     FunctionalGraph,
     ProbVector,
     Seed,
@@ -38,6 +39,8 @@ from .randmodel import (
     sample_uniform_automaton,
 )
 from .sync import (
+    RADIUS_STATE_LIMIT,
+    SUBSET_STATE_LIMIT,
     all_pairs_merge_radius,
     exact_shortest_reset,
     phase1_word_interleaved,
@@ -72,8 +75,10 @@ class ExperimentConfig:
     point occupies one trial slot; every set size ell must lie in [1, n]
     for every n, and every distance k must be non-negative.  A malformed
     request, such as an n below the least that the experiment's trials
-    take, raises InvalidInputError here, before any trial runs;
-    `overrides` keeps the values as given, and `params` holds them parsed.
+    take, raises InvalidInputError here, before any trial runs, and an n
+    above the capacity guard of the search its trials run raises
+    CapacityError; `overrides` keeps the values as given, and `params`
+    holds them parsed.
     """
 
     experiment: str
@@ -92,9 +97,11 @@ class ExperimentConfig:
         self.n_list = _ints("n_list", self.n_list)
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise InvalidInputError("n_list must be strictly ascending")
-        least = EXPERIMENTS[self.experiment].min_n
-        if self.n_list[0] < least:
-            raise InvalidInputError(f"{self.experiment} needs n >= {least}, got n = {self.n_list[0]}")
+        spec = EXPERIMENTS[self.experiment]
+        if self.n_list[0] < spec.min_n:
+            raise InvalidInputError(f"{self.experiment} needs n >= {spec.min_n}, got n = {self.n_list[0]}")
+        if spec.max_n is not None and self.n_list[-1] > spec.max_n:
+            raise CapacityError(f"{self.experiment} is capped at n = {spec.max_n}, got n = {self.n_list[-1]}")
         if isinstance(self.trials, numbers.Integral):
             self.trials = [self.trials] * len(self.n_list)
         self.trials = _ints("trials", self.trials)
@@ -102,12 +109,12 @@ class ExperimentConfig:
             raise InvalidInputError("trials must be one count or one per n")
         if any(t < 1 for t in self.trials):
             raise InvalidInputError("trial counts must be at least 1")
-        self.seed = Seed(_int("seed", self.seed)).master
+        self.seed = Seed(_as_index(self.seed, "seed")).master
         if not (self.out is None or isinstance(self.out, str)):
             raise InvalidInputError(f"out must be a path string, got {self.out!r}")
         if not isinstance(self.overrides, dict):
             raise InvalidInputError(f"overrides must be an object, got {self.overrides!r}")
-        extra = set(self.overrides) - set(EXPERIMENTS[self.experiment].overrides)
+        extra = set(self.overrides) - set(spec.overrides)
         if extra:
             raise InvalidInputError(
                 f"unsupported overrides for {self.experiment}: {sorted(extra)}"
@@ -163,16 +170,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # --- config and override parsers: (what, raw value) -> value ----------------
 
 
-def _int(what: str, raw) -> int:
-    if isinstance(raw, numbers.Integral) and not isinstance(raw, bool):
-        return int(raw)
-    raise InvalidInputError(f"{what} must be an integer, got {raw!r}")
-
-
 def _ints(what: str, raw) -> list[int]:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise InvalidInputError(f"{what} must be a nonempty list of integers, got {raw!r}")
-    return [_int(f"{what} entry", v) for v in raw]
+    return [_as_index(v, f"{what} entry") for v in raw]
 
 
 def _number(what: str, raw) -> float:
@@ -684,7 +685,8 @@ class Experiment:
     `layout(params, count)` gives the params of each trial slot at one n
     (`count` is the config's trials entry for that n); `judge(config,
     stats)` fills in the summary's derived values, verdicts and metadata;
-    `min_n` is the least n the trial takes.
+    `min_n` is the least n the trial takes, and `max_n`, when set, the
+    largest that the capacity guard of the trial's search lets through.
     """
 
     name: str
@@ -693,6 +695,7 @@ class Experiment:
     overrides: dict[str, tuple] = field(default_factory=dict)
     layout: Callable[[dict, int], list[dict]] = _grid_layout
     min_n: int = 1
+    max_n: int | None = None
 
 
 EXPERIMENTS = {
@@ -702,15 +705,16 @@ EXPERIMENTS = {
         Experiment("interleaved-image", partial(_on_sample, measure_interleaved_image),
                    _judge_interleaved, min_n=2),
         Experiment("pair-radius", partial(_on_sample, measure_pair_radius), _judge_radius,
-                   {"bound_multiplier": (RADIUS_BOUND_MULTIPLIER, _number)}, min_n=2),
+                   {"bound_multiplier": (RADIUS_BOUND_MULTIPLIER, _number)}, min_n=2, max_n=RADIUS_STATE_LIMIT),
         Experiment("two-phase", partial(_on_sample, measure_two_phase), _judge_two_phase, min_n=2),
         Experiment("extinction-bound", _trial_extinction, _judge_extinction,
                    {"ell_values": (DEFAULT_ELL_VALUES, _ints),
                     "k_values": (DEFAULT_K_VALUES, _ints),
                     "prob_vector": ("dirichlet", _prob_vector)},
                    _extinction_layout),
-        Experiment("uniform-maximizer", _trial_maximizer, _judge_maximizer),
-        Experiment("reset-length", partial(_on_sample, measure_reset_length), _judge_reset_length),
+        Experiment("uniform-maximizer", _trial_maximizer, _judge_maximizer, max_n=EXACT_EXPECTATION_LIMIT),
+        Experiment("reset-length", partial(_on_sample, measure_reset_length), _judge_reset_length,
+                   max_n=SUBSET_STATE_LIMIT),
     )
 }
 

@@ -25,9 +25,9 @@ _reconstruct_word.  The all-pairs radius is a reverse level BFS from the
 diagonal, direction-optimising as in Beamer, Asanovic and Patterson (SC
 2012): it pushes a sparse level by spawning the pairs of preimages of each
 of its pairs, and pulls a dense one, each pair looking up its images in
-n x n bool matrices of the level and of the pairs seen.  The push step
-(_push_level) counts its spawn before it spawns a pair, and those counts
-decide which.
+an n x n bool matrix of the pairs seen: an unseen pair has no image below
+the last level.  The push step (_push_level) counts its spawn before it
+spawns a pair, and those counts decide which.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .core import Automaton, StateSet, Word, image, is_reset_word
 from .core import _as_index, _check_state_set, _first_of_runs, _offsets, _preimage_runs, _sorted_unique
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
-# Product space guards: the all-pairs radius holds at most three n x n
+# Product space guards: the all-pairs radius holds at most two n x n
 # bool matrices and a sparse level (_radius_bytes); the wide BFS keeps
 # every visited pair code in memory, and greedy runs it only when the
 # finder below gives up, from at most PAIR_VISIT_LIMIT source pairs.
@@ -483,50 +483,41 @@ def _push_level(letters, level, seen, limit):
     return np.concatenate(parts)
 
 
-def _pull_level(maps, front, seen, new, rows: int):
+def _pull_level(maps, seen, new, rows: int):
     """The next level by pulling: new = the pairs not seen that some letter
-    sends onto a pair of front, all three symmetric n x n bool matrices.
-    Marks them seen and returns their number.  Works through `rows` rows
-    at a time: per letter a row gather of front, then a gather inside each
-    row, both with mode="clip" so that numpy writes into `out` directly."""
-    n = front.shape[0]
+    sends onto a pair seen, both symmetric n x n bool matrices.  An unseen
+    pair has no image below the last level, or it would be seen, so those
+    are the pairs that some letter sends onto the last level.  Works
+    through `rows` rows at a time: per letter a row gather of seen, then a
+    gather inside each row, both with mode="clip" so that numpy writes into
+    `out` directly.  Marks the level seen only after its last block, so
+    that a pair of it never counts as seen within the pass, and returns its
+    number of pairs."""
+    n = seen.shape[0]
     buf = np.empty((2, min(rows, n), n), dtype=bool)
     size = 0
     for r in range(0, n, rows):
         out = new[r:r + rows]
         gathered, hit = buf[:, :out.shape[0]]
         for c, t in enumerate(maps):
-            np.take(front, t[r:r + rows], axis=0, out=gathered, mode="clip")
+            np.take(seen, t[r:r + rows], axis=0, out=gathered, mode="clip")
             np.take(gathered, t, axis=1, out=hit if c else out, mode="clip")
             if c:
                 out |= hit
         np.greater(out, seen[r:r + rows], out=out)
-        seen[r:r + rows] |= out
         size += np.count_nonzero(out)
+    seen |= new
     return int(size) // 2
-
-
-def _level_matrix(level, n: int):
-    """The pairs of `level` (codes, or None for the diagonal) as a symmetric
-    n x n bool matrix."""
-    matrix = np.zeros((n, n), dtype=bool)
-    if level is None:
-        np.fill_diagonal(matrix, True)
-        return matrix
-    for s in range(0, level.size, _LEVEL_SLICE):
-        u, v = np.divmod(level[s:s + _LEVEL_SLICE], n)
-        matrix[u, v] = True
-        matrix[v, u] = True
-    return matrix
 
 
 def _radius_bytes(n: int) -> int:
     """Bound on all_pairs_merge_radius's peak memory, 3.5 n^2 bytes.  A
-    pull holds three n x n bool matrices: the pairs seen, the level and the
-    next.  At the switch to pulling the codes of the last pushed level come
-    with them: a pushed level has at most _PULL_SHARE n^2 / 2 pairs at 8
-    bytes each, 0.24 n^2.  A push holds the map of the pairs seen, its
-    level, the runs of its step and the next level, under 3 n^2 in all.
+    pull holds two n x n bool matrices, the pairs seen and the next level,
+    and at the switch back to pushing the codes of a level of under
+    _PUSH_SHARE n^2 / 2 pairs, both ways round at 8 bytes each, 0.16 n^2.
+    A push holds the map of the pairs seen, its level, the runs of its
+    step and the next level: a pushed level has at most _PULL_SHARE n^2 / 2
+    pairs at 8 bytes each, 0.24 n^2, and the whole stays under 3 n^2.
     Small n add the O(k n) bytes of the letters and a pull's row blocks."""
     return 7 * n * n // 2
 
@@ -539,15 +530,16 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
     when some letter sends it onto level d.  An n x n bool map marks the
     pairs seen, both ways round.  While a level is sparse the BFS pushes
     it (_push_level), spawning the pairs of preimages of each pair of the
-    level.  When the step would
-    spawn more than _PULL_SHARE of all pairs, which its counts tell
-    before any pair is spawned, the BFS pulls instead: on n x n bool
-    matrices of the level, every pair looks up where each letter sends it
-    (_pull_level).  It pushes again once a pulled level holds fewer than
-    _PUSH_SHARE of all pairs.  A pull costs about 2 k n^2 byte reads
-    whatever the level's size, a push a few dozen numpy calls per letter
-    and a few reads per spawned pair, so small automata pull from the
-    first level and deep radii push throughout.
+    level.  When the step would spawn more than _PULL_SHARE of all
+    pairs, which its counts tell before any pair is spawned, the BFS pulls
+    instead: every unseen pair looks up where each letter sends it in the
+    map of the pairs seen, into a second n x n bool matrix that holds the
+    next level (_pull_level).  It pushes again once a pulled level holds
+    fewer than _PUSH_SHARE of all pairs, from that matrix's codes.  A pull
+    costs about 2 k n^2 byte reads whatever the level's size, a push a few
+    dozen numpy calls per letter and a few reads per spawned pair, so
+    small automata pull from the first level and deep radii push
+    throughout.
     """
     n = aut.n
     if n < 2:
@@ -563,27 +555,21 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
     seen = np.zeros((n, n), dtype=bool)
     np.fill_diagonal(seen, True)
     pairs = unseen = n * (n - 1) // 2
-    level, radius = None, 0  # the codes of the last level; None: the diagonal
-    front = None  # while pulling: the last level as a symmetric matrix
+    level, radius = None, 0  # while pushing, the codes of the last level; None: the diagonal
+    new = None  # while pulling, the last level as a symmetric matrix; None: pushing
     while unseen:
-        if front is None:
-            pushed = _push_level(letters, level, seen, _PULL_SHARE * pairs)
-            if pushed is None:
-                front, new = _level_matrix(level, n), np.empty((n, n), dtype=bool)
-            level = pushed
-        if front is None:
-            size = level.size
-        else:
-            size = _pull_level(maps, front, seen, new, rows)
-            front, new = new, front
+        if new is None:
+            level = _push_level(letters, level, seen, _PULL_SHARE * pairs)
+            if level is None:
+                new = np.empty((n, n), dtype=bool)
+        size = level.size if new is None else _pull_level(maps, seen, new, rows)
         if not size:
             return math.inf
         unseen -= size
         radius += 1
-        if front is not None and size < _PUSH_SHARE * pairs:
+        if new is not None and size < _PUSH_SHARE * pairs:
+            level = np.flatnonzero(new)
             new = None
-            level = np.flatnonzero(front)
-            front = None
             level = level[level // n < level % n]
     return radius
 

@@ -179,6 +179,23 @@ def test_malformed_experiment_config_exits_1(tmp_path, capsys, config):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "reset-length", "n_list": [8, 30], "trials": 1},
+        {"experiment": "uniform-maximizer", "n_list": [30], "trials": 1},
+        {"experiment": "pair-radius", "n_list": [20_001], "trials": 1},
+    ],
+)
+def test_experiment_past_a_capacity_guard_exits_2_before_any_trial(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "results"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"capacity error: {config['experiment']} is capped at n = ") and err.count("\n") == 1
+    assert not (tmp_path / "results").exists()
+
+
 def test_more_letters_than_a_to_z_exit_1_up_front(tmp_path, capsys, monkeypatch):
     # words are printed as a..z: gen writes no 27-letter file, and exact
     # refuses one before its power-set search

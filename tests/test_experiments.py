@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import constant_automaton, permutation_automaton
-from synchrolab import InvalidInputError
+from synchrolab import CapacityError, InvalidInputError
 from synchrolab.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -22,6 +22,8 @@ from synchrolab.experiments import (
     worker_count,
     write_records_csv,
 )
+from synchrolab.randmodel import EXACT_EXPECTATION_LIMIT
+from synchrolab.sync import RADIUS_STATE_LIMIT, SUBSET_STATE_LIMIT
 
 
 def record(n, trial, quantities, experiment="unary-image"):
@@ -112,6 +114,23 @@ def test_config_rejects_sizes_its_trials_cannot_take(config, message, monkeypatc
     monkeypatch.setattr(experiments, "_run_trial", None)
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
         ExperimentConfig(trials=1, **config)
+
+
+@pytest.mark.parametrize(
+    "name, cap",
+    [("reset-length", SUBSET_STATE_LIMIT), ("uniform-maximizer", EXACT_EXPECTATION_LIMIT),
+     ("pair-radius", RADIUS_STATE_LIMIT)],
+)
+def test_config_refuses_sizes_past_the_capacity_of_its_trials(name, cap, monkeypatch):
+    # refused when the config is made, with the error a trial would raise,
+    # not through the guard inside a trial; a size at the cap is accepted
+    from synchrolab import experiments
+
+    monkeypatch.setattr(experiments, "_run_trial", None)
+    for n_list in ([cap + 1], [2, cap + 6]):
+        with pytest.raises(CapacityError, match=f"^{name} is capped at n = {cap}, got n = {n_list[-1]}$"):
+            ExperimentConfig(experiment=name, n_list=n_list, trials=1)
+    assert ExperimentConfig(experiment=name, n_list=[2, cap], trials=1).n_list == [2, cap]
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))

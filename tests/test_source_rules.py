@@ -1,6 +1,7 @@
 """Rules the library's source code keeps, checked on its syntax trees."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -39,9 +40,9 @@ def is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def defined_private_names(tree: ast.Module) -> dict[str, int]:
+def defined_names(tree: ast.Module) -> dict[str, int]:
     """{name: line} of the module's top-level functions, classes and
-    assigned names that are private (one leading underscore)."""
+    assigned names."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -52,9 +53,14 @@ def defined_private_names(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name, line in found:
-            if is_private(name):
-                names.setdefault(name, line)
+            names.setdefault(name, line)
     return names
+
+
+def defined_private_names(tree: ast.Module) -> dict[str, int]:
+    """{name: line} of the module's top-level definitions that are private
+    (one leading underscore)."""
+    return {name: line for name, line in defined_names(tree).items() if is_private(name)}
 
 
 def imported_private_names(tree: ast.AST) -> dict[str, int]:
@@ -143,3 +149,29 @@ def test_src_private_function_parameters_are_read():
         if (lines := unread_parameters(ast.parse(path.read_text(), filename=str(path))))
     }
     assert found == {}
+
+
+def dangling_qualified_names(text: str, modules: dict[str, ast.Module]) -> list[str]:
+    """'line module.name' for each module.name in text, with or without a
+    leading `synchrolab.`, that is not a top-level definition of that
+    module; a file name such as module.py is not a qualified name."""
+    pattern = re.compile(rf"(?<![\w.])(?:synchrolab\.)?({'|'.join(map(re.escape, modules))})\.([A-Za-z_]\w*)")
+    return [
+        f"{number} {match[1]}.{match[2]}"
+        for number, line in enumerate(text.splitlines(), 1)
+        for match in pattern.finditer(line)
+        if match[2] != "py" and match[2] not in defined_names(modules[match[1]])
+    ]
+
+
+def test_readme_qualified_names_are_defined():
+    # README names helpers such as core._power; deleting or renaming one
+    # must not leave the README pointing at nothing
+    sample = {"core": ast.parse("def _power():\n    pass\nLIMIT = 3\n"), "sync": ast.parse("")}
+    text = "`core._power` and `synchrolab.core.LIMIT`\nsee core.py, `core._gone`, `sync.f` and `score.x`\n"
+    assert dangling_qualified_names(text, sample) == ["2 core._gone", "2 sync.f"]
+    package = SRC / "synchrolab"
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    text = (SRC.parent / "README.md").read_text()
+    assert "core._power" in text
+    assert dangling_qualified_names(text, modules) == []

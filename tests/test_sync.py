@@ -844,13 +844,22 @@ def test_radius_does_not_depend_on_the_direction(rng, monkeypatch):
     n = 40
     half = np.arange(n) % 2  # two preimage sets of n/2 states: one pair spawns n^2/4 pairs
     auts += [Automaton(np.stack([half, rng.integers(0, n, n)], axis=1)), constant_automaton(n)]
+    for k in (1, 2, 3):
+        # Two components: no pair across them ever merges.
+        a, b = (sample_uniform_automaton(int(rng.integers(1, 40)), k, rng) for _ in range(2))
+        auts.append(Automaton(np.vstack([a.table, b.table + a.n])))
     auts += [cerny_automaton(m) for m in range(2, 21)]
     expected = [all_pairs_merge_radius(aut) for aut in auts]
+    assert expected[-22:-19] == [math.inf] * 3
     assert expected[-19:] == [m * (m - 1) // 2 for m in range(2, 21)]
-    # push throughout; pull throughout; and a switch before every level
-    for pull_share, push_share in ((math.inf, 0), (-1, 0), (-1, math.inf)):
+    # push throughout; pull throughout; a switch before every level; and
+    # pull throughout one row at a time, where a pair marked seen within a
+    # pass would reach the rows after it a level early
+    for pull_share, push_share, rows_bytes in ((math.inf, 0, sync._PULL_ROWS_BYTES), (-1, 0, sync._PULL_ROWS_BYTES),
+                                               (-1, math.inf, sync._PULL_ROWS_BYTES), (-1, 0, 1)):
         monkeypatch.setattr(sync, "_PULL_SHARE", pull_share)
         monkeypatch.setattr(sync, "_PUSH_SHARE", push_share)
+        monkeypatch.setattr(sync, "_PULL_ROWS_BYTES", rows_bytes)
         assert [all_pairs_merge_radius(aut) for aut in auts] == expected
 
 
@@ -870,6 +879,8 @@ def test_radius_memory_on_degenerate_letters(letter):
     finally:
         tracemalloc.stop()
     assert peak < _radius_bytes(n) <= 5 * n * n
+    # a pull holds two n x n bool matrices: the pairs seen and the next level
+    assert peak < 2.5 * n * n
 
 
 def test_radius_memory_is_under_the_documented_bound():
@@ -1071,16 +1082,18 @@ def test_exact_word_is_minimal_by_enumeration(rng):
 
 
 def test_oracle_consistency_chain(rng):
-    # radius <= exact length <= greedy length whenever a reset word exists
-    for _ in range(25):
-        n = int(rng.integers(2, 13))
-        aut = sample_uniform_automaton(n, 2, rng)
-        exact = exact_shortest_reset(aut)
-        if exact is None:
-            assert all_pairs_merge_radius(aut) == math.inf
-            with pytest.raises(NotSynchronizableError):
-                greedy_synchronize(aut, StateSet.full(n))
-            continue
-        radius = all_pairs_merge_radius(aut)
-        greedy = greedy_synchronize(aut, StateSet.full(n))
-        assert radius <= len(exact) <= len(greedy)
+    # radius <= exact length <= greedy length whenever a reset word exists:
+    # small automata, then up to the power-set cap
+    for low, high, draws in ((2, 13, 25), (13, 25, 8)):
+        for _ in range(draws):
+            n = int(rng.integers(low, high))
+            aut = sample_uniform_automaton(n, 2, rng)
+            exact = exact_shortest_reset(aut)
+            if exact is None:
+                assert all_pairs_merge_radius(aut) == math.inf
+                with pytest.raises(NotSynchronizableError):
+                    greedy_synchronize(aut, StateSet.full(n))
+                continue
+            radius = all_pairs_merge_radius(aut)
+            greedy = greedy_synchronize(aut, StateSet.full(n))
+            assert radius <= len(exact) <= len(greedy)
