@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invalid input or usage, 2 capacity limit exceeded
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,7 +39,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args leaves the parser as it was, and
+    # building it with its subparsers costs as much as dozens of parses.
     parser = _Parser(prog="synchrolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

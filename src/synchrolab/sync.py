@@ -2,8 +2,8 @@
 product-space BFS, greedy full synchronization, and the exact shortest-reset
 oracle over the power set.
 
-A pair of states {u, v}, u < v, has one encoding everywhere: the canonical
-int64 code u * n + v.
+A pair of states {u, v}, u < v, has one encoding everywhere but in the
+all-pairs radius: the canonical int64 code u * n + v.
 
 The forward pair search is a plain multi-source BFS from every pair of an
 image, with one level step (_next_level): a level's children, each kept
@@ -23,11 +23,15 @@ found it (_greedy_rounds).  The search and the power-set oracle store each
 node's parent as letter * width + position and rebuild words with
 _reconstruct_word.  The all-pairs radius is a reverse level BFS from the
 diagonal, direction-optimising as in Beamer, Asanovic and Patterson (SC
-2012): it pushes a sparse level by spawning the pairs of preimages of each
-of its pairs, and pulls a dense one, each pair looking up its images in
-an n x n bool matrix of the pairs seen: an unseen pair has no image below
-the last level.  The push step (_push_level) counts its spawn before it
-spawns a pair, and those counts decide which.
+2012), on N x N bit matrices, N = n rounded up to a multiple of 64, where
+pair (u, v) is bit u * N + v: it pushes a sparse level by spawning the
+pairs of preimages of each of its pairs, and pulls a dense one, each pair
+looking up its images in the bit matrix of the pairs seen: an unseen pair
+has no image below the last level.  The matrix is symmetric, so a pull is
+two row gathers and an 8 x 8-block bit transpose per letter
+(_transpose_bits), not a gather inside every row.  The push step
+(_push_level) counts its spawn before it spawns a pair, and those counts
+decide which.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from .core import Automaton, StateSet, Word, image, is_reset_word
 from .core import _as_index, _check_state_set, _first_of_runs, _offsets, _preimage_runs, _sorted_unique
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
-# Product space guards: the all-pairs radius holds at most two n x n
-# bool matrices and a sparse level (_radius_bytes); the wide BFS keeps
+# Product space guards: the all-pairs radius holds at most five N x N
+# bit matrices or a sparse level (_radius_bytes); the wide BFS keeps
 # every visited pair code in memory, and greedy runs it only when the
 # finder below gives up, from at most PAIR_VISIT_LIMIT source pairs.
 # Greedy's finder (_closest_source) builds and keeps levels that hold at
@@ -54,8 +58,9 @@ RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
 _FINDER_STATES = 32
 
-# The reverse BFS steps through a level this many pairs at a time, and makes
-# their spawned pairs in arrays of about this many codes; greedy's finder
+# The reverse BFS steps through a level this many pairs at a time, makes
+# their spawned pairs in arrays of about this many, and reads the pairs of a
+# pulled level off this many bytes of its bit matrix at a time; greedy's finder
 # gathers about this many states at a time and looks for meeting states in
 # blocks of about this many: small temporaries.
 _LEVEL_SLICE = 1 << 14
@@ -72,11 +77,18 @@ _COLUMN_PAIRS = [np.triu_indices(m, 1) for m in range(_PAIRWISE_STATES)]
 # step would spawn more than _PULL_SHARE of all pairs, and pushes again
 # once a pulled level holds fewer than _PUSH_SHARE of them: a pull reads
 # every pair whatever the level's size, so the shares are of all pairs,
-# not of the pairs left unseen.  A pull works through blocks of rows of
-# about _PULL_ROWS_BYTES bytes.
-_PULL_SHARE = 0.06
-_PUSH_SHARE = 0.02
-_PULL_ROWS_BYTES = 1 << 16
+# not of the pairs left unseen.
+_PULL_SHARE = 0.015
+_PUSH_SHARE = 0.01
+
+# The radius's bit matrices: the bit of each position in a byte, little
+# bit order; the (mask, shift) delta swaps that transpose the 8 x 8 bit
+# block of a little-endian word, byte i bit j to byte j bit i; and the
+# masks of a bytewise popcount (Warren, Hacker's Delight, 7-3 and 5-1).
+_BIT = (1 << np.arange(8)).astype(np.uint8)
+_BLOCK_SWAPS = tuple((np.uint64(mask), np.uint64(shift)) for mask, shift in
+                     ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0x00000000F0F0F0F0, 28)))
+_POP_MASKS = (np.uint64(0x5555555555555555), np.uint64(0x3333333333333333), np.uint64(0x0F0F0F0F0F0F0F0F))
 
 # Power-set search guard.
 SUBSET_STATE_LIMIT = 24
@@ -420,27 +432,30 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
 
 
 def _push_level(letters, level, seen, limit):
-    """The next level by the push step, as codes, or None when the step
-    would spawn more than `limit` pairs.
+    """The next level by the push step, as bit positions x * N + y in the
+    N x N bit matrix seen, either way round, or None when the step would
+    spawn more than `limit` pairs.
 
     letters[c] holds the preimage runs of letter c.  A pair (x, y) of
-    `level` (distinct codes) spawns every pair of a preimage of x and one
-    of y; from the diagonal (level None), position p of a letter's order
-    pairs with the rest of its run.  Either way item i spawns the pairs
-    {order[sx[i] + a], order[sy[i] + b]}, a < cx[i] and b < cy[i], from two
-    runs that never overlap, so none is on the diagonal.  The first pass
-    counts every item's spawn, per letter and per _LEVEL_SLICE pairs of
-    the level, and returns None past `limit` before it spawns a pair.  The
-    second spawns the codes in arrays of the items whose codes end in one
-    stretch of _LEVEL_SLICE codes, an array being longer only by the codes
-    of its first item.  It marks each new pair (u, v) in the n x n map
-    seen, also as (v, u); marking each array as it comes keeps a pair out
-    of the level twice."""
-    n = seen.shape[0]
+    `level` (one position per pair) spawns every pair of a preimage of x
+    and one of y; from the diagonal (level None), position p of a letter's
+    order pairs with the rest of its run.  Either way item i spawns the
+    pairs {order[sx[i] + a], order[sy[i] + b]}, a < cx[i] and b < cy[i],
+    from two runs that never overlap, so none is on the diagonal, and no
+    pair twice within a letter.  The first pass counts every item's spawn,
+    per letter and per _LEVEL_SLICE pairs of the level, and returns None
+    past `limit` before it spawns a pair.  The second spawns the pairs in
+    arrays of the items whose pairs end in one stretch of _LEVEL_SLICE, an
+    array being longer only by the pairs of its first item.  It keeps the
+    pairs of an array whose bit is not set, then sets both bits of each of
+    its pairs by one np.bitwise_or.at: two pairs can share a byte, and a
+    bit set twice stays set.  Marking each array as it comes keeps a pair
+    out of the level twice."""
+    n, N = letters[0][0].size, np.int64(seen.shape[0])
     runs, total = [], 0
     for s in range(0, 1 if level is None else level.size, _LEVEL_SLICE):  # one pass for the diagonal
         if level is not None:
-            x, y = np.divmod(level[s:s + _LEVEL_SLICE], n)
+            x, y = np.divmod(level[s:s + _LEVEL_SLICE], N)
         for order, start, count in letters:
             if level is None:
                 sx = np.arange(n, dtype=np.int64)
@@ -451,13 +466,13 @@ def _push_level(letters, level, seen, limit):
             m = cx * cy
             i = m.nonzero()[0]
             m = m[i]
-            spawn = int(m.sum())
+            spawn = int(np.add.reduce(m))
             total += spawn
             if total > limit:
                 return None
             if spawn:
                 runs.append((order, sx[i], sy[i], cy[i], m, spawn))
-    seen_codes = seen.reshape(-1)
+    flat = seen.reshape(-1)
     parts = [np.empty(0, dtype=np.int64)]
     for order, sx, sy, cy, m, spawn in runs:
         cuts = [0]
@@ -471,54 +486,114 @@ def _push_level(letters, level, seen, limit):
             b += sy[lo:hi].repeat(c)
             a = order[a]
             b = order[b]
-            part = np.minimum(a, b)
-            part *= n
-            np.maximum(a, b, out=b)
+            part = a * N
             part += b
-            part = part[~seen_codes[part]]
-            seen_codes[part] = True
-            u, v = np.divmod(part, n)
-            seen[v, u] = True
-            parts.append(part)
+            b *= N
+            b += a
+            byte, bit = np.divmod(np.concatenate([part, b]), 8)
+            bit = _BIT[bit]
+            fresh = flat[byte[:part.size]] & bit[:part.size] == 0
+            np.bitwise_or.at(flat, byte, bit)
+            parts.append(part[fresh])
     return np.concatenate(parts)
 
 
-def _pull_level(maps, seen, new, rows: int):
+def _transpose_bits(bits, words, spare):
+    """Transpose the N x N bit matrix `bits` in place, through two
+    (N / 8, N / 8) little-endian uint64 arrays.  Word (I, J) takes the
+    8 x 8 block of rows 8I to 8I + 7 and columns 8J to 8J + 7, byte i of
+    it row 8I + i; three delta swaps transpose every block at once
+    (Warren, Hacker's Delight, 7-3), and block (I, J) goes back as block
+    (J, I).  Each step copies whole axes, none gathers."""
+    B = bits.shape[1]
+    blocks = bits.reshape(B, 8, B)
+    words.view(np.uint8).reshape(B, B, 8)[...] = blocks.transpose(0, 2, 1)
+    for mask, shift in _BLOCK_SWAPS:
+        np.right_shift(words, shift, out=spare)
+        spare ^= words
+        spare &= mask
+        words ^= spare
+        spare <<= shift
+        words ^= spare
+    spare[...] = words.T
+    blocks[...] = spare.view(np.uint8).reshape(B, B, 8).transpose(0, 2, 1)
+
+
+def _count_bits(bits, words, spare):
+    """The number of bits set in the bit matrix `bits`: the bit counts of
+    its bytes by three SWAR steps on its uint64 words (Hacker's Delight,
+    5-1), into `words` and `spare`, arrays of its size, and their sum."""
+    w = bits.view("<u8").reshape(words.shape)
+    np.right_shift(w, np.uint64(1), out=words)
+    words &= _POP_MASKS[0]
+    np.subtract(w, words, out=words)
+    np.right_shift(words, np.uint64(2), out=spare)
+    spare &= _POP_MASKS[1]
+    words &= _POP_MASKS[1]
+    words += spare
+    np.right_shift(words, np.uint64(4), out=spare)
+    words += spare
+    words &= _POP_MASKS[2]
+    return int(words.view(np.uint8).sum())
+
+
+def _pull_level(maps, seen, new):
     """The next level by pulling: new = the pairs not seen that some letter
-    sends onto a pair seen, both symmetric n x n bool matrices.  An unseen
+    sends onto a pair seen, both symmetric N x N bit matrices.  An unseen
     pair has no image below the last level, or it would be seen, so those
-    are the pairs that some letter sends onto the last level.  Works
-    through `rows` rows at a time: per letter a row gather of seen, then a
-    gather inside each row, both with mode="clip" so that numpy writes into
-    `out` directly.  Marks the level seen only after its last block, so
-    that a pair of it never counts as seen within the pass, and returns its
-    number of pairs."""
-    n = seen.shape[0]
-    buf = np.empty((2, min(rows, n), n), dtype=bool)
-    size = 0
-    for r in range(0, n, rows):
-        out = new[r:r + rows]
-        gathered, hit = buf[:, :out.shape[0]]
-        for c, t in enumerate(maps):
-            np.take(seen, t[r:r + rows], axis=0, out=gathered, mode="clip")
-            np.take(gathered, t, axis=1, out=hit if c else out, mode="clip")
-            if c:
-                out |= hit
-        np.greater(out, seen[r:r + rows], out=out)
-        size += np.count_nonzero(out)
+    are the pairs that some letter sends onto the last level.
+
+    Per letter t, since seen is symmetric: X = the rows t(u) of seen,
+    padded with zero rows to N, and Y = X transposed (_transpose_bits), so
+    that Y[y, u] = seen[t(u), y]; then the rows t(v) of Y are
+    seen[t(v), t(u)] for every u.  Two row gathers and a transpose, with
+    mode="clip" so that numpy writes into `out` directly.  Marks the level
+    seen only after the last letter, so that a pair of it never counts as
+    seen within the pass, and returns its number of pairs."""
+    n, (N, B) = maps[0].size, seen.shape
+    rows = np.zeros_like(seen)  # rows n to N stay 0: so do the columns n to N of its transpose
+    words = np.empty((B, B), dtype="<u8")
+    spare = np.empty_like(words)
+    hit = words.view(np.uint8).reshape(N, B)
+    gathered, out, got = rows[:n], new[:n], hit[:n]
+    for c, t in enumerate(maps):
+        seen.take(t, axis=0, out=gathered, mode="clip")
+        _transpose_bits(rows, words, spare)
+        rows.take(t, axis=0, out=got if c else out, mode="clip")
+        if c:
+            out |= got
+    np.bitwise_and(new, seen, out=hit)
+    new ^= hit
+    size = _count_bits(new, words, spare)
     seen |= new
-    return int(size) // 2
+    return size // 2
+
+
+def _level_codes(new, n: int) -> np.ndarray:
+    """The bit positions x * N + y, x < y, of the pairs of the symmetric
+    N x N bit matrix new, in order, unpacked a block of about _LEVEL_SLICE
+    bytes of rows at a time."""
+    N, B = new.shape
+    rows = max(1, _LEVEL_SLICE // B)
+    parts = [np.empty(0, dtype=np.int64)]
+    for r in range(0, n, rows):
+        codes = np.flatnonzero(np.unpackbits(new[r:r + rows], axis=1, bitorder="little"))
+        codes += r * N
+        parts.append(codes[codes // N < codes % N])
+    return np.concatenate(parts)
 
 
 def _radius_bytes(n: int) -> int:
-    """Bound on all_pairs_merge_radius's peak memory, 3.5 n^2 bytes.  A
-    pull holds two n x n bool matrices, the pairs seen and the next level,
-    and at the switch back to pushing the codes of a level of under
-    _PUSH_SHARE n^2 / 2 pairs, both ways round at 8 bytes each, 0.16 n^2.
-    A push holds the map of the pairs seen, its level, the runs of its
-    step and the next level: a pushed level has at most _PULL_SHARE n^2 / 2
-    pairs at 8 bytes each, 0.24 n^2, and the whole stays under 3 n^2.
-    Small n add the O(k n) bytes of the letters and a pull's row blocks."""
+    """Bound on all_pairs_merge_radius's peak memory, 3.5 n^2 bytes.  The
+    BFS holds N x N bit matrices of N^2 / 8 bytes each, N = n rounded up to
+    a multiple of 64: the pairs seen and, during a pull, the next level,
+    the row gather it transposes and two arrays of words, 5 N^2 / 8 in all.
+    A push holds the bit matrix of the pairs seen, its level and the next
+    as 8-byte positions, and the runs of its step, 32 bytes per pair of
+    its level and letter; a level holds at most _PULL_SHARE n^2 / 2 pairs.
+    So the peak is near n^2 with two letters, and the bound leaves room
+    for more letters, the O(k n) bytes of the letters and the rounding of
+    N at small n."""
     return 7 * n * n // 2
 
 
@@ -527,19 +602,22 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
     some pair can never merge.
 
     Level BFS outward from the diagonal: an unseen pair joins level d + 1
-    when some letter sends it onto level d.  An n x n bool map marks the
-    pairs seen, both ways round.  While a level is sparse the BFS pushes
-    it (_push_level), spawning the pairs of preimages of each pair of the
-    level.  When the step would spawn more than _PULL_SHARE of all
-    pairs, which its counts tell before any pair is spawned, the BFS pulls
+    when some letter sends it onto level d.  An N x N bit matrix marks the
+    pairs seen, both ways round: N is n rounded up to a multiple of 64,
+    row x holds N / 8 bytes and pair (x, y) is bit y % 8 of byte y // 8,
+    and the bits past n stay 0.  While a level is sparse the BFS pushes it
+    (_push_level), spawning the pairs of preimages of each pair of the
+    level.  When the step would spawn more than _PULL_SHARE of all pairs,
+    which its counts tell before any pair is spawned, the BFS pulls
     instead: every unseen pair looks up where each letter sends it in the
-    map of the pairs seen, into a second n x n bool matrix that holds the
-    next level (_pull_level).  It pushes again once a pulled level holds
-    fewer than _PUSH_SHARE of all pairs, from that matrix's codes.  A pull
-    costs about 2 k n^2 byte reads whatever the level's size, a push a few
-    dozen numpy calls per letter and a few reads per spawned pair, so
-    small automata pull from the first level and deep radii push
-    throughout.
+    matrix of the pairs seen, by two row gathers and a bit transpose per
+    letter, into a second bit matrix that holds the next level
+    (_pull_level).  It pushes again once a pulled level holds fewer than
+    _PUSH_SHARE of all pairs, from that matrix's bit positions
+    (_level_codes).  A pull costs a few dozen passes over k n^2 / 8 bytes
+    whatever the level's size, a push a few dozen numpy calls per letter
+    and a few reads per spawned pair, so small automata pull from the first
+    level and deep radii push throughout.
     """
     n = aut.n
     if n < 2:
@@ -551,26 +629,26 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
         )
     maps = [aut.letter(c) for c in range(aut.k)]
     letters = [_preimage_runs(t, n) for t in maps]
-    rows = max(1, _PULL_ROWS_BYTES // n)
-    seen = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(seen, True)
+    N = -(-n // 64) * 64
+    seen = np.zeros((N, N // 8), dtype=np.uint8)
+    diagonal = np.arange(n)
+    seen[diagonal, diagonal >> 3] = _BIT[diagonal & 7]
     pairs = unseen = n * (n - 1) // 2
-    level, radius = None, 0  # while pushing, the codes of the last level; None: the diagonal
-    new = None  # while pulling, the last level as a symmetric matrix; None: pushing
+    level, radius = None, 0  # while pushing, the bit positions of the last level; None: the diagonal
+    new = None  # while pulling, the last level as a symmetric bit matrix; None: pushing
     while unseen:
         if new is None:
             level = _push_level(letters, level, seen, _PULL_SHARE * pairs)
             if level is None:
-                new = np.empty((n, n), dtype=bool)
-        size = level.size if new is None else _pull_level(maps, seen, new, rows)
+                new = np.zeros_like(seen)
+        size = level.size if new is None else _pull_level(maps, seen, new)
         if not size:
             return math.inf
         unseen -= size
         radius += 1
         if new is not None and size < _PUSH_SHARE * pairs:
-            level = np.flatnonzero(new)
+            level = _level_codes(new, n)
             new = None
-            level = level[level // n < level % n]
     return radius
 
 

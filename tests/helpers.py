@@ -2,6 +2,7 @@
 test modules."""
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -93,6 +94,26 @@ def reference_merge_search(aut: Automaton, sources, max_len=None):
         visited.update(level)
         depth += 1
     return None
+
+
+def reference_radius(aut: Automaton):
+    """Plain twin of synchrolab.all_pairs_merge_radius: a level BFS on an
+    n x n bool matrix of the pairs seen, from the diagonal.  An unseen pair
+    (u, v) joins the next level when some letter t sends it onto a pair
+    seen, seen[t(u), t(v)]; math.inf when a level comes out empty."""
+    maps = [aut.letter(c) for c in range(aut.k)]
+    seen = np.eye(aut.n, dtype=bool)
+    radius = 0
+    while not seen.all():
+        new = np.zeros_like(seen)
+        for t in maps:
+            new |= seen[np.ix_(t, t)]
+        new &= ~seen
+        if not new.any():
+            return math.inf
+        seen |= new
+        radius += 1
+    return radius
 
 
 def reference_greedy_rounds(aut: Automaton, states):

@@ -247,6 +247,24 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys)[0] == 1
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once per process; a usage error between two
+    # commands leaves it as it was, and each output equals a fresh parser's
+    path = tmp_path / "random.dfa"
+    write_dfa(sample_uniform_automaton(40, 2, Seed(3).stream(0)), path)
+    calls = (("sync", "--n", "60", "--seed", "4"), ("sync", "--n", "60", "--bogus"), ("pairs", "--in", str(path)))
+    cli._build_parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _out, _err in shared] == [0, 1, 0]
+    assert "unrecognized arguments: --bogus" in shared[1][2]
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 

@@ -12,6 +12,7 @@ from helpers import (
     reference_greedy,
     reference_greedy_rounds,
     reference_merge_search,
+    reference_radius,
 )
 from synchrolab import (
     Automaton,
@@ -852,15 +853,59 @@ def test_radius_does_not_depend_on_the_direction(rng, monkeypatch):
     expected = [all_pairs_merge_radius(aut) for aut in auts]
     assert expected[-22:-19] == [math.inf] * 3
     assert expected[-19:] == [m * (m - 1) // 2 for m in range(2, 21)]
-    # push throughout; pull throughout; a switch before every level; and
-    # pull throughout one row at a time, where a pair marked seen within a
-    # pass would reach the rows after it a level early
-    for pull_share, push_share, rows_bytes in ((math.inf, 0, sync._PULL_ROWS_BYTES), (-1, 0, sync._PULL_ROWS_BYTES),
-                                               (-1, math.inf, sync._PULL_ROWS_BYTES), (-1, 0, 1)):
+    # push throughout; pull throughout; a switch before every level
+    for pull_share, push_share in ((math.inf, 0), (-1, 0), (-1, math.inf)):
         monkeypatch.setattr(sync, "_PULL_SHARE", pull_share)
         monkeypatch.setattr(sync, "_PUSH_SHARE", push_share)
-        monkeypatch.setattr(sync, "_PULL_ROWS_BYTES", rows_bytes)
         assert [all_pairs_merge_radius(aut) for aut in auts] == expected
+    # pull throughout where N, n rounded up to a multiple of 64, pads the
+    # bit matrices by 63, 0 and 1 rows and columns
+    edges = [sample_uniform_automaton(n, k, rng) for n in (65, 64, 63) for k in (1, 2)]
+    monkeypatch.undo()
+    by_default = [all_pairs_merge_radius(aut) for aut in edges]
+    monkeypatch.setattr(sync, "_PULL_SHARE", -1)
+    monkeypatch.setattr(sync, "_PUSH_SHARE", 0)
+    assert [all_pairs_merge_radius(aut) for aut in edges] == by_default
+
+
+def test_bit_transpose_is_the_packed_transpose(rng):
+    from synchrolab.sync import _transpose_bits
+
+    for n in (*range(1, 10), 63, 64, 65, 127, 128, 129, 200):
+        N = -(-n // 64) * 64
+        m = np.zeros((N, N), dtype=bool)
+        m[:n, :n] = rng.random((n, n)) < 0.5
+        bits = np.packbits(m, axis=1, bitorder="little")
+        words = np.empty((N // 8, N // 8), dtype="<u8")
+        _transpose_bits(bits, words, np.empty_like(words))
+        assert np.array_equal(bits, np.packbits(m.T, axis=1, bitorder="little"))
+
+
+def _padding_edge_automata(rng):
+    """Random automata with k = 1 to 3 letters at n just under, at and just
+    over multiples of 64 (and of 8), two-component automata, and the half
+    and constant letters, whose one pair spawns n^2/4 or n^2/2 pairs."""
+    auts = [sample_uniform_automaton(n, k, rng) for n in (7, 8, 9, 63, 64, 65, 127, 128, 129) for k in (1, 2, 3)]
+    auts += [two_component_automaton(rng, n, 70 - n, k) for n, k in ((5, 1), (30, 2), (64, 3))]
+    for n in (63, 65, 128):
+        second = rng.integers(0, n, n)
+        auts += [Automaton(np.stack([np.arange(n) % 2, second], axis=1)),
+                 Automaton(np.stack([np.zeros(n, dtype=np.int64), second], axis=1))]
+    return auts
+
+
+@pytest.mark.parametrize("pull_share, push_share", [(None, None), (-1, 0), (math.inf, 0), (-1, math.inf)],
+                         ids=["default", "pull-throughout", "push-throughout", "switch-every-level"])
+def test_radius_equals_the_reference_at_the_padding_edges(rng, monkeypatch, pull_share, push_share):
+    from synchrolab import sync
+
+    auts = _padding_edge_automata(rng)
+    expected = [reference_radius(aut) for aut in auts]
+    assert math.inf in expected and 1 in expected
+    if pull_share is not None:
+        monkeypatch.setattr(sync, "_PULL_SHARE", pull_share)
+        monkeypatch.setattr(sync, "_PUSH_SHARE", push_share)
+    assert [all_pairs_merge_radius(aut) for aut in auts] == expected
 
 
 @pytest.mark.parametrize("letter", ["half", "constant"])
@@ -879,13 +924,14 @@ def test_radius_memory_on_degenerate_letters(letter):
     finally:
         tracemalloc.stop()
     assert peak < _radius_bytes(n) <= 5 * n * n
-    # a pull holds two n x n bool matrices: the pairs seen and the next level
-    assert peak < 2.5 * n * n
+    # a pull holds five N x N bit matrices, 0.625 n^2 bytes at N = n, and
+    # the letters hold O(n): 0.75 n^2 measured, and a margin of 0.15 n^2
+    assert peak < 0.9 * n * n
 
 
 def test_radius_memory_is_under_the_documented_bound():
-    # README "Capacity guards": under 5 n^2 bytes on a random automaton with
-    # two letters
+    # README "Capacity guards": 0.93 n^2 bytes on a random automaton with
+    # two letters, in the last push before the pulls; a margin of 0.17 n^2
     n = 1024
     aut = sample_uniform_automaton(n, 2, Seed(7).stream(1))
     tracemalloc.start()
@@ -894,7 +940,7 @@ def test_radius_memory_is_under_the_documented_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * n * n
+    assert peak < 1.1 * n * n
 
 
 # ---------------------------------------------------------------------
