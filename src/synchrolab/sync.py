@@ -12,12 +12,15 @@ budget, the source pairs before it builds them and the visited pairs at
 each level.  Greedy finds each round's closest pair and its merge length
 from the images x(I) of the image under the words x of each length: the
 first length at which some x(I) holds one state twice
-(_closest_source), a sort of each level's plain states within rows
-telling whether it holds a meeting at all (_least_meeting).  The search's
-word is read off the winning pair's two columns of those levels, walked
-back from the diagonal over the few rows that hold the pair reached, as
-Python ints (_pair_word), and every round applies its word to the image
-by one gather per letter.  Greedy's rounds come one at a time, each with
+(_closest_source).  Each level is one gather of the level before from the
+automaton's (k, n) successor rows, every letter at once (_word_images); a
+sort of its plain states within rows tells whether it holds a meeting at
+all, and the few meeting cells of the first level that does are read as
+Python scalars (_least_meeting).  The search's word is read off the
+winning pair's two columns of those levels, walked back from the diagonal
+over the few rows that hold the pair reached, as Python ints
+(_pair_word), and every round applies its word to the image by one gather
+per letter.  Greedy's rounds come one at a time, each with
 its image size, its word and whether the finder or the fallback search
 found it (_greedy_rounds).  The search and the power-set oracle store each
 node's parent as letter * width + position and rebuild words with
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Automaton, StateSet, Word, image, is_reset_word
-from .core import _as_index, _check_state_set, _first_of_runs, _offsets, _preimage_runs, _sorted_unique
+from .core import _as_index, _check_state_set, _first_of_runs, _offsets, _preimage_runs, _sorted_unique, _state_dtype
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
 # Product space guards: the all-pairs radius holds at most five N x N
@@ -50,10 +53,11 @@ from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 # every visited pair code in memory, and greedy runs it only when the
 # finder below gives up, from at most PAIR_VISIT_LIMIT source pairs.
 # Greedy's finder (_closest_source) builds and keeps levels that hold at
-# most _FINDER_STATES * n int32 states in all, 128n bytes.  With two letters
-# 32n reaches two letters deeper than 8n, at which the finder gave up on
-# 4 images over Seed(1..40).stream(0) at n = 5 * 10^4 and on 1 of 30
-# random pairs at n = 2 * 10^5; each give-up costs a wide BFS.
+# most _FINDER_STATES * n states in all, int32 while n < 2^31: 128n bytes.
+# With two letters 32n reaches two letters deeper than 8n, at which the
+# finder gave up on 4 images over Seed(1..40).stream(0) at n = 5 * 10^4
+# and on 1 of 30 random pairs at n = 2 * 10^5; each give-up costs a wide
+# BFS.
 RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
 _FINDER_STATES = 32
@@ -67,11 +71,19 @@ _LEVEL_SLICE = 1 << 14
 
 # The finder compares the columns of images of fewer states than this
 # pairwise, over index pairs built once here (a np.triu_indices call costs
-# about as much as comparing a small level); on larger images it sorts keys
-# (_least_meeting).  The pair search labels the pairs of a small image by
-# the same index pairs.
-_PAIRWISE_STATES = 16
+# about as much as comparing a small level); on larger images it sorts the
+# states within rows (_least_meeting).  The cut is measured on levels with
+# no meeting: the sort wins on every level of 256 rows or fewer; on larger
+# ones pairwise wins up to 7 states, ties at 8 and loses from 9 on.  The
+# pair search labels the pairs of a small image by the same index pairs.
+_PAIRWISE_STATES = 9
 _COLUMN_PAIRS = [np.triu_indices(m, 1) for m in range(_PAIRWISE_STATES)]
+
+# On larger images a block of a level with at most this many meeting cells
+# (equal neighbours within its rows sorted) is read for its least pair cell
+# by cell, with Python scalars; more, as on a constant letter, by one key
+# sort of the rows that meet.
+_FEW_MEETINGS = 8
 
 # The all-pairs radius pulls a level instead of pushing it when the push
 # step would spawn more than _PULL_SHARE of all pairs, and pushes again
@@ -264,16 +276,18 @@ def _merge_search(aut, cur, max_len=None):
     return None
 
 
-def _word_images(maps, level: np.ndarray) -> np.ndarray:
+def _word_images(rows, level: np.ndarray) -> np.ndarray:
     """The rows of level under each letter c in turn, t_c(level), in one
-    array of the level's dtype: a gather per letter, made _LEVEL_SLICE
-    states at a time, since numpy copies the indices of a gather as int64."""
+    array of the level's dtype: one gather over every letter from the
+    automaton's (k, n) successor rows, so row c * height + r is letter c
+    applied to row r.  Levels of more than _LEVEL_SLICE states gather
+    _LEVEL_SLICE states' rows at a time, since numpy copies the indices of
+    a gather as int64, and its int64 result too before the cast."""
     height, m = level.shape
-    out = np.empty((len(maps), height, m), dtype=level.dtype)
+    out = np.empty((rows.shape[0], height, m), dtype=level.dtype)
     step = max(1, _LEVEL_SLICE // m)
-    for c, t in enumerate(maps):
-        for r in range(0, height, step):
-            t.take(level[r:r + step], out=out[c, r:r + step], mode="clip")
+    for r in range(0, height, step):
+        rows.take(level[r:r + step], axis=1, out=out[:, r:r + step], mode="clip")
     return out.reshape(-1, m)
 
 
@@ -287,11 +301,17 @@ def _least_meeting(level: np.ndarray):
     order, which is a * m + b order.  Otherwise a block of about
     _LEVEL_SLICE states is sorted within its rows, plain states, and a row
     whose sorted neighbours are all distinct holds no pair; a block with
-    no such neighbours costs that sort and one compare.  Only the rows that
-    meet get the keys state << bits | column, sorted each row on its own:
-    the columns that hold one state of a row come in a run, ascending, of
-    row neighbours equal above their low bits.  The first two columns of a
-    run are its least pair, so the least such neighbours are the block's."""
+    no such neighbours costs that sort and one compare.  Each equal pair of
+    sorted neighbours, a meeting cell, names a state that its row holds
+    twice or more, and the least pair of that state is the first two
+    columns of the row that hold it.  A block of at most _FEW_MEETINGS
+    cells, as most first meetings are, is read so, cell by cell, each
+    cell's row as a Python list.  In a block of more cells only the rows
+    that meet get the keys state << bits | column, sorted each row on its
+    own: the columns that hold one state of a row come in a run, ascending,
+    of row neighbours equal above their low bits.  The first two columns of
+    a run are its least pair, so the least such neighbours are the
+    block's."""
     height, m = level.shape
     if m < _PAIRWISE_STATES:
         i, j = _COLUMN_PAIRS[m]
@@ -307,9 +327,18 @@ def _least_meeting(level: np.ndarray):
     least = m * m
     for r in range(0, height, step):
         block = level[r:r + step]
-        states = np.sort(block, axis=1)
+        states = block.copy()
+        states.sort(axis=1)
         meets = states[:, 1:] == states[:, :-1]
-        if not np.count_nonzero(meets):
+        cells = np.count_nonzero(meets)
+        if not cells:
+            continue
+        if cells <= _FEW_MEETINGS:
+            for cell in meets.ravel().nonzero()[0].tolist():
+                row, at = divmod(cell, m - 1)
+                columns = block[row].tolist()
+                a = columns.index(states.item(row, at))
+                least = min(least, a * m + columns.index(columns[a], a + 1))
             continue
         keys = block[meets.any(axis=1)].astype(np.int64)
         keys <<= bits
@@ -323,17 +352,18 @@ def _least_meeting(level: np.ndarray):
     return least if least < m * m else None
 
 
-def _closest_source(maps, cur: np.ndarray):
+def _closest_source(rows, cur: np.ndarray):
     """The positions a < b in cur of the pair that greedy's multi-source
     search picks, the first in np.triu_indices order of the pairs that
     merge in the fewest letters D, and the levels 0 to D it found them in,
     as (a, b, levels); None when those levels would hold more than
     _FINDER_STATES * n states in all.
 
-    Level L is x(cur) for every word x of L letters, one row per word,
-    column i holding the image of cur[i]; it is built by one gather per
-    letter from level L - 1 (_word_images), so row c * k^(L-1) + r is
-    letter c applied to row r.  A word x merges cur[a] and cur[b] exactly
+    rows is the automaton's (k, n) array of successor rows.  Level L is
+    x(cur) for every word x of L letters, one row per word, column i
+    holding the image of cur[i], as core._state_dtype(n) states; it is
+    gathered from level L - 1 for every letter at once (_word_images), so
+    row c * k^(L-1) + r is letter c applied to row r.  A word x merges cur[a] and cur[b] exactly
     when row x of level |x| holds one state in columns a and b.  So the
     first level L where some row holds a state twice is the fewest letters
     D of any pair, the pairs that meet there are exactly the pairs that
@@ -345,14 +375,14 @@ def _closest_source(maps, cur: np.ndarray):
     the cap counts the states of all levels, not of one; that also ends
     the search when the levels do not grow, as with one letter.
     """
-    n, m = maps[0].size, cur.size
-    levels = [cur.astype(np.int32).reshape(1, m)]
+    (k, n), m = rows.shape, cur.size
+    levels = [cur.astype(_state_dtype(n)).reshape(1, m)]
     built = m
     while True:
-        built += len(maps) * levels[-1].size
+        built += k * levels[-1].size
         if built > _FINDER_STATES * n:
             return None
-        levels.append(_word_images(maps, levels[-1]))
+        levels.append(_word_images(rows, levels[-1]))
         pair = _least_meeting(levels[-1])
         if pair is not None:
             a, b = divmod(pair, m)
@@ -398,11 +428,11 @@ def _pair_word(levels, a: int, b: int) -> Word:
     return Word._trusted(tuple(reversed(letters_rev)))
 
 
-def _finder_word(maps, cur: np.ndarray):
+def _finder_word(rows, cur: np.ndarray):
     """The word of greedy's round from cur, read off the finder's levels,
     or None when the finder gives up.  The levels go when it returns,
     before the next round's finder builds its own."""
-    found = _closest_source(maps, cur)
+    found = _closest_source(rows, cur)
     return None if found is None else _pair_word(found[2], *found[:2])
 
 
@@ -680,13 +710,13 @@ def _greedy_rounds(aut: Automaton, cur: np.ndarray):
     surviving image can merge: under permutation letters, checked once
     before the first round, that needs no search.
     """
-    maps = [aut.letter(c) for c in range(aut.k)]
-    if cur.size > 1 and all(_is_permutation(t) for t in maps):
+    rows = aut.table.T
+    if cur.size > 1 and all(_is_permutation(t) for t in rows):
         # Under permutation letters no pair ever merges: that is the answer,
         # not a search, however large the image.
         raise NotSynchronizableError((int(cur[0]), int(cur[1])))
     while cur.size > 1:
-        word = _finder_word(maps, cur)
+        word = _finder_word(rows, cur)
         by_finder = word is not None
         if not by_finder:
             res = _merge_search(aut, cur)
@@ -695,7 +725,7 @@ def _greedy_rounds(aut: Automaton, cur: np.ndarray):
             word = res[1]
         yield cur.size, word, by_finder
         for c in word:
-            cur = maps[c][cur]
+            cur = rows[c][cur]
         cur = _sorted_unique(cur)
 
 

@@ -347,6 +347,37 @@ def test_image_of_long_runs_matches_per_state_application(rng):
                 assert image(aut, w, A) == StateSet(n, {apply_word(aut, w, x) for x in A})
 
 
+@pytest.mark.parametrize("small", [0, 8, 40])
+def test_image_members_stops_deduping_once_its_set_is_small(rng, monkeypatch, small):
+    # the set image drops duplicates after each letter while its set holds
+    # more than max(isqrt(n), _SMALL_SET) entries, and below that only
+    # gathers, keeping its duplicates until the one sort at the end: against
+    # per-state apply_word, with the size patched small enough that calls
+    # run both steps, a deduping first step and duplicates at the end
+    from synchrolab import core
+    from synchrolab.core import _image_members, _runs
+
+    monkeypatch.setattr(core, "_SMALL_SET", small)
+    ends, unique = [], core._sorted_unique
+    monkeypatch.setattr(core, "_sorted_unique", lambda values: ends.append(values.copy()) or unique(values))
+    both = 0
+    for trial in range(80):
+        n = int(rng.integers(2, 300))
+        k = 1 + trial % 3
+        columns = [rng.integers(0, n, n), rng.integers(0, max(1, n // 4), n), rng.permutation(n)]
+        aut = Automaton(np.stack(columns[:k], axis=1))
+        w = Word(rng.integers(0, k, size=int(rng.integers(0, 30))))
+        members = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        ends.clear()
+        got = _image_members(aut, _runs(w), members)
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted({apply_word(aut, w, int(x)) for x in members})
+        deduped = len(w) and members.size > max(math.isqrt(n), small)
+        kept = ends and ends[0].size > unique(ends[0]).size
+        both += bool(deduped and kept)
+    assert both > 10
+
+
 @pytest.mark.parametrize("kind", ["random", "constant", "permutation"])
 def test_power_is_the_t_fold_composition(rng, kind):
     for n in (1, 2, 5, 33, 64):

@@ -467,10 +467,10 @@ def test_closest_source_is_the_multi_source_winner(rng, monkeypatch, slice_size)
     for trial in range(12):
         n = int(rng.integers(200, 2000))
         aut = tie_heavy_automaton(rng, n) if trial % 3 == 0 else sample_uniform_automaton(n, 2 + trial % 2, rng)
-        maps = [aut.letter(c) for c in range(aut.k)]
+        rows = aut.table.T
         for _ in range(4):
             cur = np.sort(rng.choice(n, size=int(rng.integers(2, 120)), replace=False))
-            a, b, levels = sync._closest_source(maps, cur)
+            a, b, levels = sync._closest_source(rows, cur)
             i, j = np.triu_indices(cur.size, k=1)
             label, word = sync._merge_search(aut, cur)
             assert (a, b, len(levels) - 1) == (i[label], j[label], len(word))
@@ -505,7 +505,7 @@ def test_least_meeting_is_the_first_pair_that_meets_in_a_row(rng, monkeypatch):
             assert sync._least_meeting(block) == meets
             found += meets is not None
         assert 50 < found < 250
-        for m in (2, 15, 16, 17, 64):
+        for m in (2, 8, 9, 10, 15, 16, 17, 64):
             cells = m * (m - 1) // 2 if m < sync._PAIRWISE_STATES else m
             height = 3 * max(1, slice_size // cells) + 1
             for trial in range(12):
@@ -520,6 +520,117 @@ def test_least_meeting_is_the_first_pair_that_meets_in_a_row(rng, monkeypatch):
                         a, b = rng.choice(m, size=2, replace=False)
                         level[r, b] = level[r, a]
                 assert sync._least_meeting(level) == least_meeting_by_pairs(level[np.sort(rows)])
+
+
+def distinct_rows(rng, height, m):
+    """A level of `height` rows of m distinct states each."""
+    return rng.random((height, 4 * m)).argsort(axis=1)[:, :m].astype(np.int32)
+
+
+def meeting_cells(level):
+    """The number of equal neighbours in the rows of level, each sorted."""
+    states = np.sort(level, axis=1)
+    return int(np.count_nonzero(states[:, 1:] == states[:, :-1]))
+
+
+def test_least_meeting_reads_one_few_or_many_meeting_cells(rng, monkeypatch):
+    # on images past the pairwise cut: levels whose rows are distinct but
+    # for exactly 1, a few, the bound of cells read one by one, one more
+    # and many meeting cells, planted in one row or spread over rows and
+    # blocks; each cell is one state copied to a column of its row that no
+    # other cell of that row touches
+    from synchrolab import sync
+
+    bound = sync._FEW_MEETINGS
+    for slice_size in (sync._LEVEL_SLICE, 5):
+        monkeypatch.setattr(sync, "_LEVEL_SLICE", slice_size)
+        for m in (sync._PAIRWISE_STATES, 12, 16, 40):
+            for cells in (1, 2, 3, bound, bound + 1, 3 * bound):
+                for trial in range(6):
+                    height = int(rng.integers(1, 3 * max(1, slice_size // m) + 2))
+                    level = distinct_rows(rng, height, m)
+                    if trial % 2:  # one row, as many cells as it has room for
+                        rows = [int(rng.integers(height))] * min(cells, m // 2)
+                    else:
+                        rows = rng.integers(height, size=cells).tolist()
+                    free = {r: rng.permutation(m).tolist() for r in set(rows)}
+                    planted = 0
+                    for r in rows:
+                        if len(free[r]) >= 2:
+                            a, b = free[r].pop(), free[r].pop()
+                            level[r, b] = level[r, a]
+                            planted += 1
+                    assert meeting_cells(level) == planted
+                    assert sync._least_meeting(level) == least_meeting_by_pairs(level)
+
+
+def test_least_meeting_on_constant_and_tied_letters(rng):
+    # the finder's own levels where meetings crowd a row: a constant letter
+    # meets every pair of its rows, and tied letters several, so blocks hold
+    # more cells than are read one by one; against every pair of every row
+    from synchrolab import sync
+
+    crowded = 0
+    for trial in range(24):
+        n = int(rng.integers(20, 400))
+        if trial % 2:
+            aut = tie_heavy_automaton(rng, n)
+        else:
+            aut = Automaton(np.stack([rng.integers(0, n, n), np.full(n, n // 2)], axis=1))
+        rows = aut.table.T
+        m = int(rng.integers(2, min(n, 48)))
+        level = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int32).reshape(1, m)
+        for _ in range(3):
+            level = sync._word_images(rows, level)
+            assert sync._least_meeting(level) == least_meeting_by_pairs(level)
+            crowded += m >= sync._PAIRWISE_STATES and meeting_cells(level) > sync._FEW_MEETINGS
+    assert crowded > 10
+
+
+@pytest.mark.parametrize("slice_size", [None, 5])
+def test_word_images_is_each_letters_gather_of_its_level(rng, monkeypatch, slice_size):
+    # one gather over every letter: row c * height + r of the result is
+    # letter c applied to row r, in the level's dtype, whether the level is
+    # gathered at once or a few states' rows at a time
+    from synchrolab import sync
+
+    if slice_size is not None:
+        monkeypatch.setattr(sync, "_LEVEL_SLICE", slice_size)
+    for trial in range(24):
+        n = int(rng.integers(2, 3000))
+        k = 1 + trial % 3
+        aut = sample_uniform_automaton(n, k, rng)
+        height, m = int(rng.integers(1, 1500)), int(rng.integers(1, 30))
+        for dtype in (np.int32, np.int64):
+            level = rng.integers(0, n, size=(height, m)).astype(dtype)
+            out = sync._word_images(aut.table.T, level)
+            assert out.dtype == dtype and out.shape == (k * height, m)
+            for c in range(k):
+                assert np.array_equal(out[c * height:(c + 1) * height], aut.letter(c)[level])
+
+
+def test_closest_source_holds_its_levels_in_the_state_dtype(rng, monkeypatch):
+    # the finder's levels take core._state_dtype(n): int32 here, and int64,
+    # as past 2^31 states, when that is patched in; the pair, the merge
+    # length and the word stay the same
+    from synchrolab import sync
+
+    found = []
+    for trial in range(24):
+        n = int(rng.integers(20, 2000))
+        aut = tie_heavy_automaton(rng, n) if trial % 3 == 0 else sample_uniform_automaton(n, 1 + trial % 3, rng)
+        cur = np.sort(rng.choice(n, size=int(rng.integers(2, 40)), replace=False))
+        pair = sync._closest_source(aut.table.T, cur)
+        if pair is not None:
+            found.append((aut, cur, pair))
+    assert len(found) > 15
+    monkeypatch.setattr(sync, "_state_dtype", lambda n: np.int64)
+    for aut, cur, (a, b, levels) in found:
+        wide = sync._closest_source(aut.table.T, cur)
+        assert {level.dtype for level in levels} == {np.dtype(np.int32)}
+        assert {level.dtype for level in wide[2]} == {np.dtype(np.int64)}
+        assert wide[:2] == (a, b) and len(wide[2]) == len(levels)
+        assert sync._pair_word(wide[2], a, b) == sync._pair_word(levels, a, b)
 
 
 def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypatch):
@@ -547,14 +658,14 @@ def test_greedy_finder_falls_back_on_a_stuck_image_within_its_cap(rng, monkeypat
     monkeypatch.setattr(sync, "_closest_source", lambda *args: None)
     expected = stuck_pairs()
 
-    def closest_source(maps, cur):
-        calls.append((maps[0].size, len(maps), [cur.size]))
-        pair = finder(maps, cur)
+    def closest_source(rows, cur):
+        calls.append((rows.shape[1], rows.shape[0], [cur.size]))
+        pair = finder(rows, cur)
         calls[-1] += (pair,)
         return pair
 
-    def word_images(maps, level):
-        out = build(maps, level)
+    def word_images(rows, level):
+        out = build(rows, level)
         calls[-1][2].append(out.size)
         return out
 
@@ -577,25 +688,25 @@ def test_closest_source_memory_at_its_cap(rng):
 
     n = 200_000
     aut = permutation_beside_random(rng, 19, n)
-    maps = [aut.letter(c) for c in range(aut.k)]
+    rows = aut.table.T
     cur = np.arange(20, dtype=np.int64)
     tracemalloc.start()
     try:
-        assert sync._closest_source(maps, cur) is None
+        assert sync._closest_source(rows, cur) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < sync._FINDER_STATES * n * 4
 
 
-def pair_levels(maps, x, y, length):
+def pair_levels(rows, x, y, length):
     """Levels 0 to length of the pair (x, y) alone, as the finder builds
     them for an image of two states, without its cap."""
     from synchrolab import sync
 
     levels = [np.array([[x, y]], dtype=np.int32)]
     for _ in range(length):
-        levels.append(sync._word_images(maps, levels[-1]))
+        levels.append(sync._word_images(rows, levels[-1]))
     return levels
 
 
@@ -612,12 +723,12 @@ def test_pair_word_is_the_search_word_of_its_pair(rng, monkeypatch, slice_size):
     for trial in range(40):
         n = int(rng.integers(3, 40))
         aut = tie_heavy_automaton(rng, n) if trial % 4 == 3 else sample_uniform_automaton(n, 1 + trial % 4, rng)
-        maps = [aut.letter(c) for c in range(aut.k)]
+        rows = aut.table.T
         pairs = list(itertools.combinations(range(n), 2))
         for x, y in pairs[::len(pairs) // 36 + 1]:
             res = sync._merge_search(aut, np.array([x, y]))
             if res is not None:
-                assert sync._pair_word(pair_levels(maps, x, y, len(res[1])), 0, 1) == res[1]
+                assert sync._pair_word(pair_levels(rows, x, y, len(res[1])), 0, 1) == res[1]
                 checked += 1
     assert checked > 600
 
@@ -632,19 +743,19 @@ def test_pair_word_walks_back_through_levels_where_several_rows_hold_its_pair(rn
     for trial in range(30):
         n = int(rng.integers(3, 30))
         aut = tie_heavy_automaton(rng, n)
-        maps = [aut.letter(c) for c in range(aut.k)]
+        rows = aut.table.T
         pairs = list(itertools.combinations(range(n), 2))
         for x, y in pairs[::len(pairs) // 12 + 1]:
             res = sync._merge_search(aut, np.array([x, y]))
             if res is None:
                 continue
             word = res[1]
-            levels = pair_levels(maps, x, y, len(word))
+            levels = pair_levels(rows, x, y, len(word))
             assert sync._pair_word(levels, 0, 1) == word
             pair = {x, y}
             for j, level in enumerate(levels[:-1]):
                 several += sum(set(row) == pair for row in level.tolist()) > 1
-                pair = {int(maps[word[j]][s]) for s in pair}
+                pair = {int(rows[word[j]][s]) for s in pair}
     assert several > 50
 
 
@@ -656,13 +767,13 @@ def test_pair_word_memory_on_a_deep_pair(rng):
 
     n = 200_000
     aut = sample_uniform_automaton(n, 2, rng)
-    maps = [aut.letter(c) for c in range(aut.k)]
+    rows = aut.table.T
     pairs = [np.sort(rng.choice(n, size=2, replace=False)) for _ in range(10)]
-    length, x, y = max((len(sync._closest_source(maps, p)[2]) - 1, int(p[0]), int(p[1])) for p in pairs)
+    length, x, y = max((len(sync._closest_source(rows, p)[2]) - 1, int(p[0]), int(p[1])) for p in pairs)
     assert 2 ** (length + 1) > n
     tracemalloc.start()
     try:
-        a, b, levels = sync._closest_source(maps, np.array([x, y]))
+        a, b, levels = sync._closest_source(rows, np.array([x, y]))
         word = sync._pair_word(levels, a, b)
         del levels
         peak = tracemalloc.get_traced_memory()[1]
@@ -682,9 +793,9 @@ def test_every_round_applies_its_word_to_the_image(rng, monkeypatch):
 
     finder, images = sync._closest_source, []
 
-    def closest_source(maps, cur):
+    def closest_source(rows, cur):
         images.append(cur.copy())
-        return finder(maps, cur)
+        return finder(rows, cur)
 
     monkeypatch.setattr(sync, "_closest_source", closest_source)
     auts = []
@@ -747,12 +858,12 @@ def test_greedy_frees_each_rounds_levels_before_the_next_finder(monkeypatch):
     aut, starts = three_chains(n, 15)
     finder, build, built = sync._closest_source, sync._word_images, []
 
-    def closest_source(maps, cur):
+    def closest_source(rows, cur):
         built.append(cur.size)
-        return finder(maps, cur)
+        return finder(rows, cur)
 
-    def word_images(maps, level):
-        out = build(maps, level)
+    def word_images(rows, level):
+        out = build(rows, level)
         built[-1] += out.size
         return out
 
