@@ -22,8 +22,12 @@ over the few rows that hold the pair reached, as Python ints
 (_pair_word), and every round applies its word to the image by one gather
 per letter.  Greedy's rounds come one at a time, each with
 its image size, its word and whether the finder or the fallback search
-found it (_greedy_rounds).  The search and the power-set oracle store each
-node's parent as letter * width + position and rebuild words with
+found it (_greedy_rounds).  The power-set oracle steps a level of subset
+masks by one gather per 12-bit chunk from tables of each chunk value's
+image under every letter (_subset_image_tables), one gather of a seen map
+that flags the singletons apart, and one dedupe sort.  The search and the
+oracle store each node's parent as position * k + letter, the pair search
+converting its own letter * width + position, and rebuild words with
 _reconstruct_word.  The all-pairs radius is a reverse level BFS from the
 diagonal, direction-optimising as in Beamer, Asanovic and Patterson (SC
 2012), on N x N bit matrices, N = n rounded up to a multiple of 64, where
@@ -102,8 +106,10 @@ _BLOCK_SWAPS = tuple((np.uint64(mask), np.uint64(shift)) for mask, shift in
                      ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0x00000000F0F0F0F0, 28)))
 _POP_MASKS = (np.uint64(0x5555555555555555), np.uint64(0x3333333333333333), np.uint64(0x0F0F0F0F0F0F0F0F))
 
-# Power-set search guard.
+# Power-set search guard, and the bits of a mask per image table: one
+# table of 2^12 rows per letter and chunk, two chunks at the guard.
 SUBSET_STATE_LIMIT = 24
+_SUBSET_CHUNK = 12
 
 
 def phase1_word_unary(n: int) -> Word:
@@ -173,13 +179,15 @@ def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[pos] == needles
 
 
-def _reconstruct_word(steps, pos: int, final_letter: int) -> Word:
-    """The word ending in final_letter from node pos of the last level;
-    steps holds per level each node's parent index letter * width +
-    position and the width of the level before."""
-    letters_rev = [final_letter]
-    for index, width in reversed(steps):
-        letter, pos = divmod(int(index[pos]), width)
+def _reconstruct_word(steps, k: int, index: int) -> Word:
+    """The word that reaches candidate `index` of the level after the last
+    in steps.  A candidate index is position * k + letter: the parent's
+    position in the level before and the letter from it; steps holds, per
+    level, each node's candidate index."""
+    pos, letter = divmod(index, k)
+    letters_rev = [letter]
+    for parent in reversed(steps):
+        pos, letter = divmod(int(parent[pos]), k)
         letters_rev.append(letter)
     return Word._trusted(tuple(reversed(letters_rev)))
 
@@ -249,7 +257,8 @@ def _merge_search(aut, cur, max_len=None):
     letter_maps = [aut.letter(c) for c in range(aut.k)]
     labels = np.arange(codes.size, dtype=np.int64)
     # Per level below the sources: each node's candidate index
-    # letter * width + parent, and the width of the level it came from.
+    # position * k + letter into the level it came from.
+    k = aut.k
     steps = []
     visited = codes
     while codes.size:
@@ -262,13 +271,16 @@ def _merge_search(aut, cur, max_len=None):
             hit_labels = labels[hit % width]
             label = hit_labels.min()
             letter, pos = divmod(int(hit[hit_labels == label][0]), width)
-            return int(label), _reconstruct_word(steps, pos, letter)
+            return int(label), _reconstruct_word(steps, k, pos * k + letter)
         codes, labels, index = _next_level(cand_codes, labels)
         fresh = ~_in_sorted(visited, codes)
         codes = codes[fresh]
         if visited.size + codes.size > PAIR_VISIT_LIMIT:
             raise CapacityError(f"pair search visited more than {PAIR_VISIT_LIMIT} pairs")
-        steps.append((index[fresh], width))
+        letter, pos = np.divmod(index[fresh], width)
+        pos *= k
+        pos += letter
+        steps.append(pos)
         labels = labels[fresh]
         # codes is sorted and disjoint from visited: the stable sort merges
         # the two runs in linear time.
@@ -763,15 +775,19 @@ def two_phase_synchronize(aut: Automaton) -> SyncReport:
     )
 
 
-def _subset_image_tables(aut: Automaton, chunks: int) -> np.ndarray:
-    # tables[c, j, byte] = image mask under letter c of the byte placed at
-    # bit offset 8*j.
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1  # bits[byte, i]
-    tables = np.empty((aut.k, chunks, 256), dtype=np.int64)
-    for c in range(aut.k):
-        state_bit = np.zeros(8 * chunks, dtype=np.int64)  # padding maps to no state
-        state_bit[: aut.n] = np.int64(1) << aut.letter(c)
-        tables[c] = np.bitwise_or.reduce(bits * state_bit.reshape(chunks, 1, 8), axis=2)
+def _subset_image_tables(aut: Automaton) -> np.ndarray:
+    """tables[j, v, c] is the image mask under letter c of the
+    _SUBSET_CHUNK-bit value v placed at bit _SUBSET_CHUNK * j, as int64,
+    for chunks j < ceil(n / _SUBSET_CHUNK).
+    Built by doubling: rows [2^b, 2^(b+1)) of chunk j are rows [0, 2^b)
+    with the images of state _SUBSET_CHUNK * j + b set, up to state n; the
+    rows of values with a bit at or past state n stay zero, never read."""
+    n = aut.n
+    images = np.int64(1) << aut.table  # images[s, c]: the bit of state s's image
+    tables = np.zeros((-(-n // _SUBSET_CHUNK), 1 << min(n, _SUBSET_CHUNK), aut.k), dtype=np.int64)
+    for s in range(n):
+        j, b = divmod(s, _SUBSET_CHUNK)
+        np.bitwise_or(tables[j, :1 << b], images[s], out=tables[j, 1 << b:2 << b])
     return tables
 
 
@@ -783,7 +799,14 @@ def exact_shortest_reset(aut: Automaton) -> Word | None:
     order, i.e. ordered by (parent position, letter).  A mask reached
     several times keeps its first discovery, and the answer is the first
     singleton discovered at the shallowest level, so the word is the one a
-    queue-driven BFS trying letters in order returns.
+    queue-driven BFS trying letters in order returns: the least in
+    lexicographic order of the shortest reset words.
+
+    A level's images are one table gather per 12-bit chunk of its masks
+    for every letter at once, candidate position * k + letter in discovery
+    order.  The seen map holds 0 for an unseen mask, 1 for a seen one and 2
+    for the n singletons, so one gather of it tells both whether a
+    candidate ends the search and whether it is new.
     """
     n = aut.n
     if n > SUBSET_STATE_LIMIT:
@@ -793,43 +816,41 @@ def exact_shortest_reset(aut: Automaton) -> Word | None:
     if n == 1:
         return Word()
     k = aut.k
-    chunks = (n + 7) // 8
-    tables = _subset_image_tables(aut, chunks)
-    visited = np.zeros(1 << n, dtype=bool)
+    tables = _subset_image_tables(aut)
+    low = (1 << _SUBSET_CHUNK) - 1
+    seen = np.zeros(1 << n, dtype=np.uint8)
+    seen[np.int64(1) << np.arange(n)] = 2
     level = np.array([(1 << n) - 1], dtype=np.int64)
-    visited[level] = True
+    seen[level] = 1
     # Per level below the full set: each mask's candidate index
-    # letter * width + position into the level before, and that width.
+    # position * k + letter into the level before.
     parents = []
     while level.size:
-        byte_ix = [(level >> (8 * j)) & 0xFF for j in range(chunks)]
-        cand = np.empty((level.size, k), dtype=np.int64)
-        for c in range(k):
-            img = tables[c, 0][byte_ix[0]]
-            for j in range(1, chunks):
-                img |= tables[c, j][byte_ix[j]]
-            cand[:, c] = img
+        if n > _SUBSET_CHUNK:
+            cand = tables[0].take(level & low, axis=0)
+            cand |= tables[1].take(level >> _SUBSET_CHUNK, axis=0)
+        else:
+            cand = tables[0].take(level, axis=0)
         cand = cand.reshape(-1)
-        # Discovery order: the candidate position * k + letter.
-        index = np.flatnonzero(~visited[cand])
-        cand = cand[index]
-        single = np.flatnonzero((cand & (cand - 1)) == 0)
-        if single.size:
-            pos, letter = divmod(int(index[single[0]]), k)
-            return _reconstruct_word(parents, pos, letter)
+        flag = seen.take(cand)
+        if flag.max() == 2:
+            return _reconstruct_word(parents, k, int(np.argmax(flag == 2)))
         # Keep each mask's first discovery: sorting the keys
-        # mask << bits | position puts it first among its equals, and
-        # sorting the kept positions restores discovery order.  Masks have
-        # n <= 24 bits, so the keys fit in int64.
+        # mask << bits | index puts it first among its equals, and marking
+        # the kept indices restores discovery order.  Masks have n <= 24
+        # bits, so the keys fit in int64.
+        fresh = np.flatnonzero(flag == 0)
         bits = cand.size.bit_length()
-        keys = cand << bits
-        keys |= np.arange(cand.size)
+        keys = cand[fresh]
+        keys <<= bits
+        keys |= fresh
         keys.sort()
-        keep = keys[_first_of_runs(keys >> bits)]
-        keep &= (1 << bits) - 1
-        keep.sort()
-        pos, letter = np.divmod(index[keep], k)
-        parents.append((letter * level.size + pos, level.size))
+        first = keys[_first_of_runs(keys >> bits)]
+        first &= (1 << bits) - 1
+        kept = np.zeros(cand.size, dtype=bool)
+        kept[first] = True
+        keep = np.flatnonzero(kept)
+        parents.append(keep)
         level = cand[keep]
-        visited[level] = True
+        seen[level] = 1
     return None

@@ -36,7 +36,7 @@ from synchrolab import (
     two_phase_synchronize,
 )
 from synchrolab.core import _image_members, _runs
-from synchrolab.sync import default_pair_search_limit
+from synchrolab.sync import _reconstruct_word, _subset_image_tables, default_pair_search_limit
 
 
 # ---------------------------------------------------------------------
@@ -1187,7 +1187,7 @@ def test_exact_single_state():
     assert exact_shortest_reset(constant_automaton(1)) == Word()
 
 
-@pytest.mark.parametrize("n,expected", [(3, 4), (4, 9), (5, 16)])
+@pytest.mark.parametrize("n,expected", [(3, 4), (4, 9), (5, 16), *((n, (n - 1) ** 2) for n in range(15, 21))])
 def test_exact_cerny_lengths(n, expected):
     aut = cerny_automaton(n)
     w = exact_shortest_reset(aut)
@@ -1226,16 +1226,65 @@ def test_exact_word_matches_reference(rng):
 
 
 def test_exact_word_is_minimal_by_enumeration(rng):
-    for _ in range(10):
+    # no reset word is shorter, and none of the same length comes before it
+    # in lexicographic order: each mask keeps its first discovery only
+    # because of the latter
+    checked = 0
+    for _ in range(30):
         n = int(rng.integers(2, 7))
-        aut = sample_uniform_automaton(n, 2, rng)
+        k = int(rng.integers(2, 4))
+        aut = sample_uniform_automaton(n, k, rng)
         w = exact_shortest_reset(aut)
-        if w is None or len(w) > 6:
+        if w is None or k ** len(w) > 800:
             continue
         assert is_reset_word(aut, w)
-        for length in range(len(w)):
-            for letters in itertools.product(range(2), repeat=length):
+        for length in range(len(w) + 1):
+            for letters in itertools.product(range(k), repeat=length):
+                if letters == w.letters:
+                    break
                 assert not is_reset_word(aut, Word(letters))
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 23, 24])
+def test_exact_word_matches_reference_at_chunk_edges(n):
+    # masks of 11 to 24 bits: one 12-bit image table chunk, a full one, and
+    # a second chunk holding one bit, eleven bits or a full twelve
+    auts = [Automaton(np.maximum(np.arange(n) - 1, 0)[:, None])]  # a^(n-1)
+    auts += [sample_uniform_automaton(n, k, Seed(27).stream(i)) for k in (1, 2, 3, 4) for i in range(3)]
+    for aut in auts:
+        assert exact_shortest_reset(aut) == reference_exact_reset(aut)
+    assert len(exact_shortest_reset(auts[0])) == n - 1
+
+
+def test_exact_subset_image_tables_by_state():
+    for n in (1, 5, 12, 13, 24):
+        aut = sample_uniform_automaton(n, 3, Seed(27).stream(n))
+        tables = _subset_image_tables(aut)
+        for mask in (0, 1, (1 << n) - 1, 0b101101 & ((1 << n) - 1), (1 << n) - 1 >> n // 2 << n // 2):
+            image_of = tables[0, mask & 0xFFF] | (tables[1, mask >> 12] if n > 12 else 0)
+            for c in range(aut.k):
+                expected = sum({1 << int(aut.letter(c)[s]) for s in range(n) if mask >> s & 1})
+                assert image_of[c] == expected
+
+
+def test_exact_word_many_letters_matches_reference():
+    # letters at and past the text alphabet: compared as letter tuples
+    for n in range(2, 9):
+        aut = sample_uniform_automaton(n, 30, Seed(27).stream(n))
+        w = exact_shortest_reset(aut)
+        assert w.letters == reference_exact_reset(aut).letters
+        assert is_reset_word(aut, w)
+
+
+def test_reconstruct_word_reads_position_times_k_plus_letter():
+    # three letters; level 1 has 3 nodes, level 2 has 3 nodes, and the word
+    # ends at candidate index 7 = position 2 * 3 + letter 1 of level 3
+    steps = [np.array([2, 0, 1]), np.array([4, 8, 0])]
+    assert _reconstruct_word(steps, 3, 7) == Word([2, 0, 1])
+    assert _reconstruct_word(steps, 3, 3) == Word([1, 2, 0])
+    assert _reconstruct_word([], 3, 2) == Word([2])
 
 
 def test_oracle_consistency_chain(rng):
