@@ -29,16 +29,12 @@ that flags the singletons apart, and one dedupe sort.  The search and the
 oracle store each node's parent as position * k + letter, the pair search
 converting its own letter * width + position, and rebuild words with
 _reconstruct_word.  The all-pairs radius is a reverse level BFS from the
-diagonal, direction-optimising as in Beamer, Asanovic and Patterson (SC
-2012), on N x N bit matrices, N = n rounded up to a multiple of 64, where
-pair (u, v) is bit u * N + v: it pushes a sparse level by spawning the
-pairs of preimages of each of its pairs, and pulls a dense one, each pair
+diagonal on N x N bit matrices, N = n rounded up to a multiple of 64,
+where pair (u, v) is bit u * N + v.  It pulls every level, each pair
 looking up its images in the bit matrix of the pairs seen: an unseen pair
-has no image below the last level.  The matrix is symmetric, so a pull is
-two row gathers and an 8 x 8-block bit transpose per letter
-(_transpose_bits), not a gather inside every row.  The push step
-(_push_level) counts its spawn before it spawns a pair, and those counts
-decide which.
+has no image below the last level.  The matrix is symmetric, so a level
+is two row gathers and an 8 x 8-block bit transpose per letter
+(_transpose_bits), not a gather inside every row, and one bit count.
 """
 
 from __future__ import annotations
@@ -49,13 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Automaton, StateSet, Word, image, is_reset_word
-from .core import _as_index, _check_state_set, _first_of_runs, _offsets, _preimage_runs, _sorted_unique, _state_dtype
+from .core import _as_index, _check_state_set, _first_of_runs, _sorted_unique, _state_dtype
 from .errors import CapacityError, InvalidInputError, NotSynchronizableError
 
-# Product space guards: the all-pairs radius holds at most five N x N
-# bit matrices or a sparse level (_radius_bytes); the wide BFS keeps
-# every visited pair code in memory, and greedy runs it only when the
-# finder below gives up, from at most PAIR_VISIT_LIMIT source pairs.
+# Product space guards: the all-pairs radius holds five N x N bit
+# matrices (_radius_bytes); the wide BFS keeps every visited pair code in
+# memory, and greedy runs it only when the finder below gives up, from at
+# most PAIR_VISIT_LIMIT source pairs.
 # Greedy's finder (_closest_source) builds and keeps levels that hold at
 # most _FINDER_STATES * n states in all, int32 while n < 2^31: 128n bytes.
 # With two letters 32n reaches two letters deeper than 8n, at which the
@@ -66,11 +62,8 @@ RADIUS_STATE_LIMIT = 20_000
 PAIR_VISIT_LIMIT = 20_000_000
 _FINDER_STATES = 32
 
-# The reverse BFS steps through a level this many pairs at a time, makes
-# their spawned pairs in arrays of about this many, and reads the pairs of a
-# pulled level off this many bytes of its bit matrix at a time; greedy's finder
-# gathers about this many states at a time and looks for meeting states in
-# blocks of about this many: small temporaries.
+# Greedy's finder gathers about this many states at a time and looks for
+# meeting states in blocks of about this many: small temporaries.
 _LEVEL_SLICE = 1 << 14
 
 # The finder compares the columns of images of fewer states than this
@@ -89,22 +82,13 @@ _COLUMN_PAIRS = [np.triu_indices(m, 1) for m in range(_PAIRWISE_STATES)]
 # sort of the rows that meet.
 _FEW_MEETINGS = 8
 
-# The all-pairs radius pulls a level instead of pushing it when the push
-# step would spawn more than _PULL_SHARE of all pairs, and pushes again
-# once a pulled level holds fewer than _PUSH_SHARE of them: a pull reads
-# every pair whatever the level's size, so the shares are of all pairs,
-# not of the pairs left unseen.
-_PULL_SHARE = 0.015
-_PUSH_SHARE = 0.01
-
 # The radius's bit matrices: the bit of each position in a byte, little
-# bit order; the (mask, shift) delta swaps that transpose the 8 x 8 bit
-# block of a little-endian word, byte i bit j to byte j bit i; and the
-# masks of a bytewise popcount (Warren, Hacker's Delight, 7-3 and 5-1).
+# bit order, and the (mask, shift) delta swaps that transpose the 8 x 8 bit
+# block of a little-endian word, byte i bit j to byte j bit i (Warren,
+# Hacker's Delight, 7-3).
 _BIT = (1 << np.arange(8)).astype(np.uint8)
 _BLOCK_SWAPS = tuple((np.uint64(mask), np.uint64(shift)) for mask, shift in
                      ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0x00000000F0F0F0F0, 28)))
-_POP_MASKS = (np.uint64(0x5555555555555555), np.uint64(0x3333333333333333), np.uint64(0x0F0F0F0F0F0F0F0F))
 
 # Power-set search guard, and the bits of a mask per image table: one
 # table of 2^12 rows per letter and chunk, two chunks at the guard.
@@ -473,73 +457,6 @@ def pair_shortest_merge(aut: Automaton, x: int, y: int, max_len=None) -> PairDis
     return PairDistanceResult(len(word), word)
 
 
-def _push_level(letters, level, seen, limit):
-    """The next level by the push step, as bit positions x * N + y in the
-    N x N bit matrix seen, either way round, or None when the step would
-    spawn more than `limit` pairs.
-
-    letters[c] holds the preimage runs of letter c.  A pair (x, y) of
-    `level` (one position per pair) spawns every pair of a preimage of x
-    and one of y; from the diagonal (level None), position p of a letter's
-    order pairs with the rest of its run.  Either way item i spawns the
-    pairs {order[sx[i] + a], order[sy[i] + b]}, a < cx[i] and b < cy[i],
-    from two runs that never overlap, so none is on the diagonal, and no
-    pair twice within a letter.  The first pass counts every item's spawn,
-    per letter and per _LEVEL_SLICE pairs of the level, and returns None
-    past `limit` before it spawns a pair.  The second spawns the pairs in
-    arrays of the items whose pairs end in one stretch of _LEVEL_SLICE, an
-    array being longer only by the pairs of its first item.  It keeps the
-    pairs of an array whose bit is not set, then sets both bits of each of
-    its pairs by one np.bitwise_or.at: two pairs can share a byte, and a
-    bit set twice stays set.  Marking each array as it comes keeps a pair
-    out of the level twice."""
-    n, N = letters[0][0].size, np.int64(seen.shape[0])
-    runs, total = [], 0
-    for s in range(0, 1 if level is None else level.size, _LEVEL_SLICE):  # one pass for the diagonal
-        if level is not None:
-            x, y = np.divmod(level[s:s + _LEVEL_SLICE], N)
-        for order, start, count in letters:
-            if level is None:
-                sx = np.arange(n, dtype=np.int64)
-                cx, sy = 1, sx + 1
-                cy = (start + count).repeat(count) - sy
-            else:
-                sx, cx, sy, cy = start[x], count[x], start[y], count[y]
-            m = cx * cy
-            i = m.nonzero()[0]
-            m = m[i]
-            spawn = int(np.add.reduce(m))
-            total += spawn
-            if total > limit:
-                return None
-            if spawn:
-                runs.append((order, sx[i], sy[i], cy[i], m, spawn))
-    flat = seen.reshape(-1)
-    parts = [np.empty(0, dtype=np.int64)]
-    for order, sx, sy, cy, m, spawn in runs:
-        cuts = [0]
-        if spawn > _LEVEL_SLICE:
-            cuts = np.searchsorted(m.cumsum(), np.arange(0, spawn, _LEVEL_SLICE), side="right")
-            cuts = cuts[_first_of_runs(cuts)]
-        for lo, hi in zip(cuts, [*cuts[1:], m.size]):
-            c = m[lo:hi]
-            a, b = np.divmod(_offsets(c), cy[lo:hi].repeat(c))
-            a += sx[lo:hi].repeat(c)
-            b += sy[lo:hi].repeat(c)
-            a = order[a]
-            b = order[b]
-            part = a * N
-            part += b
-            b *= N
-            b += a
-            byte, bit = np.divmod(np.concatenate([part, b]), 8)
-            bit = _BIT[bit]
-            fresh = flat[byte[:part.size]] & bit[:part.size] == 0
-            np.bitwise_or.at(flat, byte, bit)
-            parts.append(part[fresh])
-    return np.concatenate(parts)
-
-
 def _transpose_bits(bits, words, spare):
     """Transpose the N x N bit matrix `bits` in place, through two
     (N / 8, N / 8) little-endian uint64 arrays.  Word (I, J) takes the
@@ -561,81 +478,14 @@ def _transpose_bits(bits, words, spare):
     blocks[...] = spare.view(np.uint8).reshape(B, B, 8).transpose(0, 2, 1)
 
 
-def _count_bits(bits, words, spare):
-    """The number of bits set in the bit matrix `bits`: the bit counts of
-    its bytes by three SWAR steps on its uint64 words (Hacker's Delight,
-    5-1), into `words` and `spare`, arrays of its size, and their sum."""
-    w = bits.view("<u8").reshape(words.shape)
-    np.right_shift(w, np.uint64(1), out=words)
-    words &= _POP_MASKS[0]
-    np.subtract(w, words, out=words)
-    np.right_shift(words, np.uint64(2), out=spare)
-    spare &= _POP_MASKS[1]
-    words &= _POP_MASKS[1]
-    words += spare
-    np.right_shift(words, np.uint64(4), out=spare)
-    words += spare
-    words &= _POP_MASKS[2]
-    return int(words.view(np.uint8).sum())
-
-
-def _pull_level(maps, seen, new):
-    """The next level by pulling: new = the pairs not seen that some letter
-    sends onto a pair seen, both symmetric N x N bit matrices.  An unseen
-    pair has no image below the last level, or it would be seen, so those
-    are the pairs that some letter sends onto the last level.
-
-    Per letter t, since seen is symmetric: X = the rows t(u) of seen,
-    padded with zero rows to N, and Y = X transposed (_transpose_bits), so
-    that Y[y, u] = seen[t(u), y]; then the rows t(v) of Y are
-    seen[t(v), t(u)] for every u.  Two row gathers and a transpose, with
-    mode="clip" so that numpy writes into `out` directly.  Marks the level
-    seen only after the last letter, so that a pair of it never counts as
-    seen within the pass, and returns its number of pairs."""
-    n, (N, B) = maps[0].size, seen.shape
-    rows = np.zeros_like(seen)  # rows n to N stay 0: so do the columns n to N of its transpose
-    words = np.empty((B, B), dtype="<u8")
-    spare = np.empty_like(words)
-    hit = words.view(np.uint8).reshape(N, B)
-    gathered, out, got = rows[:n], new[:n], hit[:n]
-    for c, t in enumerate(maps):
-        seen.take(t, axis=0, out=gathered, mode="clip")
-        _transpose_bits(rows, words, spare)
-        rows.take(t, axis=0, out=got if c else out, mode="clip")
-        if c:
-            out |= got
-    np.bitwise_and(new, seen, out=hit)
-    new ^= hit
-    size = _count_bits(new, words, spare)
-    seen |= new
-    return size // 2
-
-
-def _level_codes(new, n: int) -> np.ndarray:
-    """The bit positions x * N + y, x < y, of the pairs of the symmetric
-    N x N bit matrix new, in order, unpacked a block of about _LEVEL_SLICE
-    bytes of rows at a time."""
-    N, B = new.shape
-    rows = max(1, _LEVEL_SLICE // B)
-    parts = [np.empty(0, dtype=np.int64)]
-    for r in range(0, n, rows):
-        codes = np.flatnonzero(np.unpackbits(new[r:r + rows], axis=1, bitorder="little"))
-        codes += r * N
-        parts.append(codes[codes // N < codes % N])
-    return np.concatenate(parts)
-
-
 def _radius_bytes(n: int) -> int:
     """Bound on all_pairs_merge_radius's peak memory, 3.5 n^2 bytes.  The
-    BFS holds N x N bit matrices of N^2 / 8 bytes each, N = n rounded up to
-    a multiple of 64: the pairs seen and, during a pull, the next level,
-    the row gather it transposes and two arrays of words, 5 N^2 / 8 in all.
-    A push holds the bit matrix of the pairs seen, its level and the next
-    as 8-byte positions, and the runs of its step, 32 bytes per pair of
-    its level and letter; a level holds at most _PULL_SHARE n^2 / 2 pairs.
-    So the peak is near n^2 with two letters, and the bound leaves room
-    for more letters, the O(k n) bytes of the letters and the rounding of
-    N at small n."""
+    BFS holds five N x N bit matrices of N^2 / 8 bytes each, N = n rounded
+    up to a multiple of 64: the pairs seen, the next level, the row gather
+    it transposes and two arrays of words, 5 N^2 / 8 in all, plus the
+    O(k n) bytes of the letters.  So the peak is near 0.7 n^2, and the
+    bound covers the five matrices, N rounded up, from n = 28 on; below
+    that they take at most 2.5 KiB."""
     return 7 * n * n // 2
 
 
@@ -647,19 +497,19 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
     when some letter sends it onto level d.  An N x N bit matrix marks the
     pairs seen, both ways round: N is n rounded up to a multiple of 64,
     row x holds N / 8 bytes and pair (x, y) is bit y % 8 of byte y // 8,
-    and the bits past n stay 0.  While a level is sparse the BFS pushes it
-    (_push_level), spawning the pairs of preimages of each pair of the
-    level.  When the step would spawn more than _PULL_SHARE of all pairs,
-    which its counts tell before any pair is spawned, the BFS pulls
-    instead: every unseen pair looks up where each letter sends it in the
-    matrix of the pairs seen, by two row gathers and a bit transpose per
-    letter, into a second bit matrix that holds the next level
-    (_pull_level).  It pushes again once a pulled level holds fewer than
-    _PUSH_SHARE of all pairs, from that matrix's bit positions
-    (_level_codes).  A pull costs a few dozen passes over k n^2 / 8 bytes
-    whatever the level's size, a push a few dozen numpy calls per letter
-    and a few reads per spawned pair, so small automata pull from the first
-    level and deep radii push throughout.
+    and the bits past n stay 0.  Each level is pulled: an unseen pair has
+    no image below the last level, or it would be seen, so the next level
+    is the pairs not seen that some letter sends onto a pair seen.  Per
+    letter t, since seen is symmetric: X = the rows t(u) of seen, padded
+    with zero rows to N, and Y = X transposed (_transpose_bits), so that
+    Y[y, u] = seen[t(u), y]; then the rows t(v) of Y are seen[t(v), t(u)]
+    for every u.  Two row gathers and a transpose per letter, with
+    mode="clip" so that numpy gathers into the given rows directly, into a
+    second bit matrix that holds the next level; it is marked seen only
+    after the last letter, so that a pair of it never counts as seen
+    within the level, and counted by the bit counts of its words.  The
+    five matrices are made once per call, and a level costs a few dozen
+    passes over k N^2 / 8 bytes whatever its size.
     """
     n = aut.n
     if n < 2:
@@ -670,27 +520,33 @@ def all_pairs_merge_radius(aut: Automaton) -> int | float:
             f"{RADIUS_STATE_LIMIT} states, about {_radius_bytes(RADIUS_STATE_LIMIT)} bytes"
         )
     maps = [aut.letter(c) for c in range(aut.k)]
-    letters = [_preimage_runs(t, n) for t in maps]
     N = -(-n // 64) * 64
     seen = np.zeros((N, N // 8), dtype=np.uint8)
     diagonal = np.arange(n)
     seen[diagonal, diagonal >> 3] = _BIT[diagonal & 7]
-    pairs = unseen = n * (n - 1) // 2
-    level, radius = None, 0  # while pushing, the bit positions of the last level; None: the diagonal
-    new = None  # while pulling, the last level as a symmetric bit matrix; None: pushing
+    new = np.zeros_like(seen)  # rows n to N stay 0: each level overwrites rows 0 to n
+    rows = np.zeros_like(seen)  # rows n to N stay 0: so do the columns n to N of its transpose
+    words = np.empty((N // 8, N // 8), dtype="<u8")
+    spare = np.empty_like(words)
+    hit = words.view(np.uint8).reshape(seen.shape)
+    counts = hit.reshape(-1)[:words.size]  # the bit count of each word of new
+    gathered, level, got, new_words = rows[:n], new[:n], hit[:n], new.view("<u8").reshape(-1)
+    unseen, radius = n * (n - 1) // 2, 0
     while unseen:
-        if new is None:
-            level = _push_level(letters, level, seen, _PULL_SHARE * pairs)
-            if level is None:
-                new = np.zeros_like(seen)
-        size = level.size if new is None else _pull_level(maps, seen, new)
+        for c, t in enumerate(maps):
+            seen.take(t, axis=0, out=gathered, mode="clip")
+            _transpose_bits(rows, words, spare)
+            rows.take(t, axis=0, out=got if c else level, mode="clip")
+            if c:
+                level |= got
+        np.bitwise_and(new, seen, out=hit)
+        new ^= hit
+        size = int(np.bitwise_count(new_words, out=counts).sum()) // 2
         if not size:
             return math.inf
+        seen |= new
         unseen -= size
         radius += 1
-        if new is not None and size < _PUSH_SHARE * pairs:
-            level = _level_codes(new, n)
-            new = None
     return radius
 
 

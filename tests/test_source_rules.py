@@ -1,7 +1,9 @@
 """Rules the library's source code keeps, checked on its syntax trees."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -175,3 +177,55 @@ def test_readme_qualified_names_are_defined():
     text = (SRC.parent / "README.md").read_text()
     assert "core._power" in text
     assert dangling_qualified_names(text, modules) == []
+
+
+def member_names(tree: ast.Module) -> set[str]:
+    """The module's top-level definitions and the methods and attributes
+    defined in the bodies of its top-level classes."""
+    names = set(defined_names(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names |= set(defined_names(ast.Module(body=node.body, type_ignores=[])))
+    return names
+
+
+def dangling_private_references(source: str) -> list[str]:
+    """'line name' for each (_name) in the module's comments and docstrings
+    that names no top-level definition or class member of the module."""
+    tree = ast.parse(source)
+    texts = [(token.start[0], token.string) for token in tokenize.generate_tokens(io.StringIO(source).readline)
+             if token.type == tokenize.COMMENT]
+    texts += [(node.body[0].lineno, text) for node in ast.walk(tree)
+              if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+              and (text := ast.get_docstring(node, clean=False))]
+    names = member_names(tree)
+    return sorted(
+        f"{line + offset} {match[1]}"
+        for line, text in texts
+        for offset, part in enumerate(text.splitlines())
+        for match in re.finditer(r"\((_[A-Za-z]\w*)\)", part)
+        if match[1] not in names
+    )
+
+
+def test_src_private_references_name_a_definition():
+    # a comment or docstring that points at a helper as (_name) must not
+    # outlive the helper
+    sample = (
+        '"""Steps by (_step), once (_gone)."""\n'
+        "_LIMIT = 3  # see (_LIMIT) and (_other)\n"
+        "def _step():\n"
+        '    """Calls (_Box._read), no: (_read)."""\n'
+        "class _Box:\n"
+        "    _size = 1\n"
+        "    def _read(self):\n"
+        "        # uses (_size), not (_width)\n"
+        "        return (_step)\n"
+    )
+    assert dangling_private_references(sample) == ["1 _gone", "2 _other", "8 _width"]
+    found = {
+        str(path.relative_to(SRC)): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := dangling_private_references(path.read_text()))
+    }
+    assert found == {}
