@@ -96,22 +96,56 @@ def reference_merge_search(aut: Automaton, sources, max_len=None):
     return None
 
 
-def reference_radius(aut: Automaton):
+def sparse_frontier(level: int, frontier: int, unseen: int) -> bool:
+    """Push a level while its frontier holds under 1/64 of the unseen pairs,
+    pull it otherwise: the direction-optimising rule of Beamer, Asanovic and
+    Patterson (SC 2012)."""
+    return 64 * frontier < unseen
+
+
+def _pushed_level(maps, frontier):
+    """Every pair (x, y) with (t(x), t(y)) on the frontier for some letter t,
+    enumerated from the frontier pairs' preimages: per pair (u, v), the
+    du * dv pairs of a state mapped to u and one mapped to v."""
+    n = frontier.shape[0]
+    new = np.zeros_like(frontier)
+    us, vs = np.nonzero(frontier)
+    for t in maps:
+        order = np.argsort(t, kind="stable")
+        deg = np.bincount(t, minlength=n)
+        start = np.cumsum(deg) - deg
+        count = deg[us] * deg[vs]
+        pair = np.repeat(np.arange(len(us)), count)
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        width = deg[vs][pair]
+        new[order[start[us[pair]] + offset // width], order[start[vs[pair]] + offset % width]] = True
+    return new
+
+
+def reference_radius(aut: Automaton, push=sparse_frontier):
     """Plain twin of synchrolab.all_pairs_merge_radius: a level BFS on an
-    n x n bool matrix of the pairs seen, from the diagonal.  An unseen pair
-    (u, v) joins the next level when some letter t sends it onto a pair
-    seen, seen[t(u), t(v)]; math.inf when a level comes out empty."""
+    n x n bool matrix of the pairs seen, from the diagonal; math.inf when a
+    level comes out empty.  push(level, frontier pairs, unseen pairs) picks
+    how each level is found, with the same result either way: pulled, an
+    unseen pair (u, v) joins when some letter t sends it onto a pair seen,
+    seen[t(u), t(v)]; pushed, the preimage pairs of the last level's pairs
+    join."""
     maps = [aut.letter(c) for c in range(aut.k)]
     seen = np.eye(aut.n, dtype=bool)
+    frontier = seen
     radius = 0
     while not seen.all():
-        new = np.zeros_like(seen)
-        for t in maps:
-            new |= seen[np.ix_(t, t)]
+        if push(radius, int(frontier.sum()), int((~seen).sum())):
+            new = _pushed_level(maps, frontier)
+        else:
+            new = np.zeros_like(seen)
+            for t in maps:
+                new |= seen[np.ix_(t, t)]
         new &= ~seen
         if not new.any():
             return math.inf
         seen |= new
+        frontier = new
         radius += 1
     return radius
 

@@ -13,6 +13,7 @@ from helpers import (
     reference_greedy_rounds,
     reference_merge_search,
     reference_radius,
+    sparse_frontier,
 )
 from synchrolab import (
     Automaton,
@@ -959,9 +960,14 @@ def _padding_edge_automata(rng):
     return auts
 
 
-def test_radius_equals_the_reference_at_the_padding_edges(rng):
+@pytest.mark.parametrize("push", [sparse_frontier, lambda level, frontier, unseen: False,
+                                  lambda level, frontier, unseen: True, lambda level, frontier, unseen: level % 2 == 1],
+                         ids=["default", "pull-throughout", "push-throughout", "switch-every-level"])
+def test_radius_equals_the_reference_at_the_padding_edges(rng, push):
+    # the radius pulls every level; the reference finds its levels in each
+    # order, pushing from the frontier's preimages or pulling into the seen
     auts = _padding_edge_automata(rng)
-    expected = [reference_radius(aut) for aut in auts]
+    expected = [reference_radius(aut, push) for aut in auts]
     assert math.inf in expected and 1 in expected
     assert [all_pairs_merge_radius(aut) for aut in auts] == expected
 
